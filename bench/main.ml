@@ -34,7 +34,7 @@ module Wash_plan = Pdw_wash.Wash_plan
 module Metrics = Pdw_wash.Metrics
 module Report = Pdw_wash.Report
 
-module Domain_pool = Pdw_wash.Domain_pool
+module Domain_pool = Pdw_pool.Domain_pool
 module Router = Pdw_synth.Router
 module Trace = Pdw_obs.Trace
 module Counters = Pdw_obs.Counters
@@ -605,9 +605,8 @@ let run_storage () =
      Its gate is therefore monotonicity alone, at every setting.
 
    - the [planner] campaign — every request carries [no_cache], so
-     each one runs the full planning pipeline on a worker domain;
-     [planner_spec_count] distinct-digest spec variants spread the
-     jobs across the shards.  This is the curve on which workers
+     each one runs the full planning pipeline on whichever worker
+     domain is idle.  This is the curve on which workers
      actually participate, so the scaling claim is gated here: within
      [serve_tolerance] of the 1-worker baseline at every setting the
      host can physically parallelize (workers <= host cores — beyond
@@ -629,33 +628,11 @@ let serve_benchmarks = [ "pcr"; "ivd"; "proteinsplit" ]
 
 (* The planner campaign is sized so that it cannot shed: at most
    [clients * pipeline] = 32 jobs are in flight against a queue limit
-   of 128 (the per-shard split admits ceil(128/workers) each, and the
-   distinct digests spread the load). *)
+   of 128. *)
 let planner_clients = 8
 let planner_per_client = 64
 let planner_warmup = 32
 let planner_pipeline = 4
-let planner_spec_count = 24
-
-(* Distinct-digest variants of the benchmark specs: the alpha weight
-   is nudged by multiples of 1e-9 — far below any decision threshold,
-   so every variant plans identical work and verifies byte-identical
-   against its own local run — purely so the canonical digests differ
-   and the jobs hash across all the shards instead of piling onto the
-   (at most) three shards the plain benchmark digests would reach. *)
-let planner_specs () =
-  let module Protocol = Pdw_service.Protocol in
-  let module P = Pdw_wash.Pdw in
-  let nb = List.length serve_benchmarks in
-  List.init planner_spec_count (fun k ->
-      let name = List.nth serve_benchmarks (k mod nb) in
-      let config =
-        {
-          P.default_config with
-          P.alpha = P.default_config.P.alpha +. (float_of_int (k / nb) *. 1e-9);
-        }
-      in
-      Protocol.spec ~config (Protocol.Benchmark name))
 
 let run_serve () =
   let module Server = Pdw_service.Server in
@@ -732,7 +709,6 @@ let run_serve () =
           queue_limit = 128;
           cache_capacity = 64;
           job_timeout_ms = 120_000;
-          max_retries = 1;
           store_dir = None;
           store_max_bytes = 256 * 1024 * 1024;
         }
@@ -744,7 +720,7 @@ let run_serve () =
            benchmark specs, and with lazily spawned worker domains the
            measured hit phase runs under the same conditions a
            hit-dominated production mix would see.  The planner
-           campaign then forces every shard's worker to life. *)
+           campaign then brings every worker to life. *)
         let tel0 = Server.telemetry srv in
         let cached =
           Loadgen.run ~socket_path ~clients:serve_clients
@@ -756,23 +732,28 @@ let run_serve () =
         let planner =
           Loadgen.run ~socket_path ~clients:planner_clients
             ~per_client:planner_per_client ~warmup:planner_warmup
-            ~pipeline:planner_pipeline ~no_cache:true ~verify:true
-            (planner_specs ())
+            ~pipeline:planner_pipeline ~no_cache:true ~verify:true specs
         in
         check "planner" planner;
         let tel2 = Server.telemetry srv in
-        let peaks = Server.shard_depth_peaks srv in
+        let peak =
+          let stats = Server.stats_json srv in
+          match
+            Option.bind (Pdw_obs.Json.member "queue" stats)
+              (Pdw_obs.Json.member "depth_peak")
+          with
+          | Some (Pdw_obs.Json.Int p) -> p
+          | _ -> failwith "serve bench: stats carry no queue.depth_peak"
+        in
         print_campaign workers "cached" cached;
         print_campaign workers "planner" planner;
         print_breakdown workers "planner" tel2 tel1;
-        Format.printf "serve: workers=%d  shard depth peaks [%s]@." workers
-          (String.concat ";" (List.map string_of_int peaks));
+        Format.printf "serve: workers=%d  queue depth peak %d@." workers peak;
         ( (cached.Loadgen.throughput, planner.Loadgen.throughput),
           J.Obj
             [
               ("workers", J.Int workers);
-              ( "queue_depth_peaks",
-                J.List (List.map (fun p -> J.Int p) peaks) );
+              ("queue_depth_peak", J.Int peak);
               ("cached", J.of_obs (Loadgen.summary_json cached));
               ("cached_server", server_interval tel1 tel0);
               ("planner", J.of_obs (Loadgen.summary_json planner));
@@ -833,14 +814,13 @@ let run_serve () =
   let json =
     J.Obj
       ([
-         ("schema", J.String "pathdriver-wash/bench-serve/v5");
+         ("schema", J.String "pathdriver-wash/bench-serve/v6");
          ("git_commit", J.String (git_commit ()));
          ("generated_at", J.String (iso8601_now ()));
          ("host_cores", J.Int host_cores);
          ("tolerance", J.Float serve_tolerance);
          ( "benchmarks",
            J.List (List.map (fun n -> J.String n) serve_benchmarks) );
-         ("planner_spec_count", J.Int planner_spec_count);
          ("runs", J.List runs);
        ]
       @ carried_fleet)
@@ -892,7 +872,6 @@ let run_shardd socket store =
         queue_limit = 256;
         cache_capacity = 64;
         job_timeout_ms = 120_000;
-        max_retries = 1;
         store_dir = Some store;
         store_max_bytes = 256 * 1024 * 1024;
       }
@@ -1107,7 +1086,7 @@ let run_fleet () =
   let json =
     O.Obj
       ([
-         ("schema", O.Str "pathdriver-wash/bench-serve/v5");
+         ("schema", O.Str "pathdriver-wash/bench-serve/v6");
          ("git_commit", O.Str (git_commit ()));
          ("generated_at", O.Str (iso8601_now ()));
        ]

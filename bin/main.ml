@@ -6,7 +6,6 @@
 module Benchmarks = Pdw_assay.Benchmarks
 module Sequencing_graph = Pdw_assay.Sequencing_graph
 module Layout = Pdw_biochip.Layout
-module Layout_builder = Pdw_biochip.Layout_builder
 module Schedule = Pdw_synth.Schedule
 module Synthesis = Pdw_synth.Synthesis
 module Contamination = Pdw_wash.Contamination
@@ -18,6 +17,7 @@ module Metrics = Pdw_wash.Metrics
 module Report = Pdw_wash.Report
 module Explain = Pdw_wash.Explain
 module Events = Pdw_obs.Events
+module Engine = Pdw_service.Engine
 module Server = Pdw_service.Server
 module Router = Pdw_service.Router
 module Client = Pdw_service.Client
@@ -37,13 +37,17 @@ let load name =
         (Printf.sprintf "unknown benchmark %S (try one of: %s)" name
            (String.concat ", " benchmark_names)))
 
-let is_motivating name =
-  String.lowercase_ascii name = "motivating"
-
-let synthesize name b =
-  if is_motivating name then
-    Synthesis.synthesize ~layout:(Layout_builder.fig2_layout ()) b
-  else Synthesis.synthesize b
+(* The planner config behind [run] and [submit]: one function, so
+   served and one-shot runs line up. *)
+let planner_config no_necessity no_integration ilp_paths dissolution =
+  {
+    Pdw.default_config with
+    necessity = not no_necessity;
+    integrate = not no_integration;
+    use_ilp_paths = ilp_paths;
+    dissolution =
+      Option.value dissolution ~default:Pdw.default_config.Pdw.dissolution;
+  }
 
 (* --- observability flags, shared by every planner-running subcommand --- *)
 
@@ -232,7 +236,7 @@ let cmd_show_layout name =
     prerr_endline m;
     1
   | Ok b ->
-    let s = synthesize name b in
+    let s = Engine.synthesize_benchmark name b in
     print_endline (Layout.render s.Synthesis.layout);
     Printf.printf "\n%d devices, %d flow ports, %d waste ports\n"
       (List.length (Layout.devices s.Synthesis.layout))
@@ -246,7 +250,7 @@ let cmd_necessity name =
     prerr_endline m;
     1
   | Ok b ->
-    let s = synthesize name b in
+    let s = Engine.synthesize_benchmark name b in
     let report =
       Necessity.analyze (Contamination.analyze s.Synthesis.schedule)
     in
@@ -276,17 +280,9 @@ let cmd_run name method_ show_schedule as_json verbose no_necessity
     prerr_endline m;
     (1, None)
   | Ok b ->
-    let s = synthesize name b in
+    let s = Engine.synthesize_benchmark name b in
     let config =
-      {
-        Pdw.default_config with
-        necessity = not no_necessity;
-        integrate = not no_integration;
-        use_ilp_paths = ilp_paths;
-        dissolution =
-          Option.value dissolution
-            ~default:Pdw.default_config.Pdw.dissolution;
-      }
+      planner_config no_necessity no_integration ilp_paths dissolution
     in
     let outcome =
       match method_ with
@@ -318,7 +314,7 @@ let cmd_compare name obs =
     prerr_endline m;
     (1, None)
   | Ok b ->
-    let s = synthesize name b in
+    let s = Engine.synthesize_benchmark name b in
     let dawo = Dawo.optimize s in
     let pdw = Pdw.optimize s in
     let row =
@@ -356,7 +352,7 @@ let cmd_render name output obs =
     prerr_endline m;
     (1, None)
   | Ok b ->
-    let s = synthesize name b in
+    let s = Engine.synthesize_benchmark name b in
     let outcome = Pdw.optimize s in
     let washes =
       List.mapi
@@ -385,7 +381,7 @@ let cmd_animate name time obs =
     prerr_endline m;
     (1, None)
   | Ok b ->
-    let s = synthesize name b in
+    let s = Engine.synthesize_benchmark name b in
     let outcome = Pdw.optimize s in
     let sim = Pdw_sim.Flow_sim.run outcome.Wash_plan.schedule in
     let horizon = Pdw_sim.Flow_sim.makespan sim in
@@ -404,7 +400,7 @@ let cmd_actuations name obs =
     prerr_endline m;
     (1, None)
   | Ok b ->
-    let s = synthesize name b in
+    let s = Engine.synthesize_benchmark name b in
     let outcome = Pdw.optimize s in
     let plan = Pdw_synth.Actuation.of_schedule outcome.Wash_plan.schedule in
     Printf.printf
@@ -451,7 +447,7 @@ let cmd_paths name obs =
     prerr_endline m;
     (1, None)
   | Ok b ->
-    let s = synthesize name b in
+    let s = Engine.synthesize_benchmark name b in
     let outcome = Pdw.optimize s in
     Report.print_flow_paths Format.std_formatter outcome.Wash_plan.schedule;
     (0, Some { ctx_name = name; ctx_synthesis = s; ctx_outcome = outcome })
@@ -463,7 +459,7 @@ let cmd_verify name method_ obs =
     prerr_endline m;
     (1, None)
   | Ok b ->
-    let s = synthesize name b in
+    let s = Engine.synthesize_benchmark name b in
     let outcome =
       match method_ with
       | `Pdw -> Pdw.optimize s
@@ -490,7 +486,7 @@ let cmd_explain name ledger method_ cell_opt wash_opt obs =
            ordinals are stable regardless of the surrounding flags. *)
         Events.set_enabled true;
         Events.reset ();
-        let s = synthesize name b in
+        let s = Engine.synthesize_benchmark name b in
         let outcome =
           match method_ with
           | `Pdw -> Pdw.optimize s
@@ -538,8 +534,8 @@ let cmd_explain name ledger method_ cell_opt wash_opt obs =
 let default_socket () =
   Filename.concat (Filename.get_temp_dir_name ()) "pdw.sock"
 
-let cmd_serve socket workers queue_limit cache_size timeout_ms retries
-    slow_log slow_ms store store_max_mb =
+let cmd_serve socket workers queue_limit cache_size timeout_ms slow_log
+    slow_ms store store_max_mb =
   let cfg =
     {
       Server.socket_path = socket;
@@ -547,7 +543,6 @@ let cmd_serve socket workers queue_limit cache_size timeout_ms retries
       queue_limit;
       cache_capacity = cache_size;
       job_timeout_ms = timeout_ms;
-      max_retries = retries;
       store_dir = store;
       store_max_bytes = store_max_mb * 1024 * 1024;
     }
@@ -568,18 +563,6 @@ let cmd_serve socket workers queue_limit cache_size timeout_ms retries
     Printf.eprintf "pdw serve: stopped\n%!";
     0
 
-(* Shared by submit and loadgen: turn CLI flags into the same planner
-   config [cmd_run] builds, so served and one-shot runs line up. *)
-let submit_config no_necessity no_integration ilp_paths dissolution =
-  {
-    Pdw.default_config with
-    necessity = not no_necessity;
-    integrate = not no_integration;
-    use_ilp_paths = ilp_paths;
-    dissolution =
-      Option.value dissolution ~default:Pdw.default_config.Pdw.dissolution;
-  }
-
 let cmd_submit bench file stats ping shutdown server_version socket method_
     no_cache no_necessity no_integration ilp_paths dissolution park =
   let submit_spec () =
@@ -589,7 +572,7 @@ let cmd_submit bench file stats ping shutdown server_version socket method_
       Ok (Protocol.Submit
             { spec =
                 Protocol.spec ~method_
-                  ~config:(submit_config no_necessity no_integration ilp_paths
+                  ~config:(planner_config no_necessity no_integration ilp_paths
                              dissolution)
                   ~park
                   (Protocol.Benchmark name);
@@ -601,7 +584,7 @@ let cmd_submit bench file stats ping shutdown server_version socket method_
         Ok (Protocol.Submit
               { spec =
                   Protocol.spec ~method_
-                    ~config:(submit_config no_necessity no_integration
+                    ~config:(planner_config no_necessity no_integration
                                ilp_paths dissolution)
                     ~park
                     (Protocol.Inline text);
@@ -807,22 +790,7 @@ let print_stats_human j =
     (jint j [ "requests"; "burns" ]);
   lat "latency_ms";
   lat "queue_wait_ms";
-  lat "service_ms";
-  match jget j [ "shards" ] with
-  | Some (Pdw_obs.Json.Arr shards) ->
-    List.iter
-      (fun s ->
-        Printf.printf
-          "shard %-4d in-flight %d, pending %d, submitted %d, shed %d, \
-           cache hits %d\n"
-          (jint s [ "id" ])
-          (jint s [ "in_flight" ])
-          (jint s [ "pending" ])
-          (jint s [ "submitted" ])
-          (jint s [ "shed" ])
-          (jint s [ "cache"; "hits" ]))
-      shards
-  | _ -> ()
+  lat "service_ms"
 
 let cmd_stats socket prometheus as_json watch interval =
   let fetch () =
@@ -948,12 +916,12 @@ let wait_for_daemon path ~timeout_s =
    [pdw serve] — never a bare fork, which is unsafe once the parent has
    spawned domains or threads. *)
 let spawn_shard ~run_dir ~i ~workers ~queue_limit ~cache_size ~timeout_ms
-    ~retries ~store_dir =
+    ~store_dir =
   let args =
     [ "serve"; "--socket"; shard_socket run_dir i; "--workers";
       string_of_int workers; "--queue-limit"; string_of_int queue_limit;
       "--cache-size"; string_of_int cache_size; "--timeout-ms";
-      string_of_int timeout_ms; "--retries"; string_of_int retries ]
+      string_of_int timeout_ms ]
     @ match store_dir with Some d -> [ "--store"; d ] | None -> []
   in
   let pid =
@@ -965,7 +933,7 @@ let spawn_shard ~run_dir ~i ~workers ~queue_limit ~cache_size ~timeout_ms
   pid
 
 let cmd_fleet_start socket run_dir shards workers queue_limit cache_size
-    timeout_ms retries no_store vnodes =
+    timeout_ms no_store vnodes =
   let shards = max 1 shards in
   mkdir_p run_dir;
   let store_dir =
@@ -974,7 +942,7 @@ let cmd_fleet_start socket run_dir shards workers queue_limit cache_size
   let pids =
     List.init shards (fun i ->
         spawn_shard ~run_dir ~i ~workers ~queue_limit ~cache_size ~timeout_ms
-          ~retries ~store_dir)
+          ~store_dir)
   in
   let shard_sockets = List.init shards (shard_socket run_dir) in
   let ready =
@@ -1287,7 +1255,9 @@ let socket_arg =
 
 let serve_cmd =
   let workers =
-    let doc = "Planner worker domains." in
+    let doc =
+      "Most planner worker domains; one is started only when a job finds      none idle."
+    in
     Arg.(value & opt int 2 & info [ "workers" ] ~docv:"N" ~doc)
   in
   let queue_limit =
@@ -1303,10 +1273,6 @@ let serve_cmd =
   let timeout_ms =
     let doc = "Per-request timeout in milliseconds." in
     Arg.(value & opt int 60_000 & info [ "timeout-ms" ] ~docv:"MS" ~doc)
-  in
-  let retries =
-    let doc = "Extra planner attempts after a crashed attempt." in
-    Arg.(value & opt int 1 & info [ "retries" ] ~docv:"N" ~doc)
   in
   let slow_log =
     let doc =
@@ -1334,12 +1300,12 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       const cmd_serve $ socket_arg $ workers $ queue_limit $ cache_size
-      $ timeout_ms $ retries $ slow_log $ slow_ms $ store $ store_max_mb)
+      $ timeout_ms $ slow_log $ slow_ms $ store $ store_max_mb)
 
 let stats_cmd =
   let prometheus =
     let doc =
-      "Fetch the Prometheus text exposition ($(b,metrics) verb) instead of      the JSON stats snapshot — counters, gauges and histogram buckets,      merged and per shard/worker, ready for a scraper."
+      "Fetch the Prometheus text exposition ($(b,metrics) verb) instead of      the JSON stats snapshot — counters, gauges and histogram buckets,      with per-worker rows, ready for a scraper."
     in
     Arg.(value & flag & info [ "prometheus" ] ~doc)
   in
@@ -1498,10 +1464,6 @@ let fleet_cmd =
       let doc = "Per-request timeout in milliseconds." in
       Arg.(value & opt int 60_000 & info [ "timeout-ms" ] ~docv:"MS" ~doc)
     in
-    let retries =
-      let doc = "Extra planner attempts after a crashed attempt." in
-      Arg.(value & opt int 1 & info [ "retries" ] ~docv:"N" ~doc)
-    in
     let no_store =
       let doc =
         "Run the shards without the shared persistent plan store (plans      live only in each process's memory)."
@@ -1518,7 +1480,7 @@ let fleet_cmd =
     Cmd.v (Cmd.info "start" ~doc)
       Term.(
         const cmd_fleet_start $ socket_arg $ run_dir_arg $ shards $ workers
-        $ queue_limit $ cache_size $ timeout_ms $ retries $ no_store $ vnodes)
+        $ queue_limit $ cache_size $ timeout_ms $ no_store $ vnodes)
   in
   let stop =
     let doc =

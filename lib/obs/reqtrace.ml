@@ -3,7 +3,6 @@ type outcome = Hit | Planned | Coalesced | Shed | Timeout | Failed
 type record = {
   id : int;
   digest : string;
-  shard : int;
   outcome : outcome;
   total_ms : float;
   stages : (string * float) list;
@@ -33,7 +32,6 @@ let to_json r =
     [
       ("id", Json.Int r.id);
       ("digest", Json.Str r.digest);
-      ("shard", Json.Int r.shard);
       ("outcome", Json.Str (outcome_to_string r.outcome));
       ("total_ms", Json.Float r.total_ms);
       ( "stages",
@@ -71,7 +69,6 @@ let of_line line =
   let* j = Json.parse line in
   let* id = field j "id" Json.to_int in
   let* digest = field j "digest" Json.to_str in
-  let* shard = field j "shard" Json.to_int in
   let* outcome_s = field j "outcome" Json.to_str in
   let* outcome =
     match outcome_of_string outcome_s with
@@ -80,7 +77,7 @@ let of_line line =
   in
   let* total_ms = field j "total_ms" Json.to_float in
   let* stages = field j "stages" as_stages in
-  Ok { id; digest; shard; outcome; total_ms; stages }
+  Ok { id; digest; outcome; total_ms; stages }
 
 (* --- slow-request ledger (process-global, Events discipline) --- *)
 

@@ -31,7 +31,6 @@ type outcome =
 type record = {
   id : int;  (** unique per server run, minted at accept *)
   digest : string;  (** spec digest — correlates with cache keys *)
-  shard : int;
   outcome : outcome;
   total_ms : float;  (** accept to reply, monotonic *)
   stages : (string * float) list;
@@ -84,7 +83,7 @@ val slow_log_enabled : unit -> bool
 (** {1 JSONL} *)
 
 (** One-line JSON:
-    [{"id":…,"digest":…,"shard":…,"outcome":…,"total_ms":…,
+    [{"id":…,"digest":…,"outcome":…,"total_ms":…,
       "stages":[["admission",0.01],…]}]. *)
 val to_line : record -> string
 

@@ -1,248 +1,156 @@
-(* A small fixed pool of worker domains for embarrassingly-parallel
-   fan-out (per-benchmark synthesis and optimization in the harness and
-   tests).  The pool owns [size - 1] worker domains; the caller's domain
-   participates in draining the queue during [map], so a pool of size n
-   keeps exactly n domains busy.  A pool of size 1 spawns nothing and
-   runs everything inline, which keeps single-core machines and
-   recursive uses (a map inside a map) safe.
+(* A small pool of worker domains draining one shared job queue.
 
-   A pool created with [~dedicated:true] instead owns one *private*
-   queue per worker: [submit_to] targets a specific worker, so a caller
-   that shards its work (the planning service hashes plan digests to
-   shards) pays for one short per-worker lock, never a pool-global
-   one. *)
-
-type job = unit -> unit
-
-(* One worker's private queue (dedicated mode).  [peak] is the largest
-   depth ever observed at enqueue time — cheap to maintain here, and
-   the service's stats/bench layers want per-worker backlog peaks.
-   [domain] is spawned lazily on the first job: every live domain costs
+   Two ways in.  [map] fans a list out for the parallel port-pair flush,
+   the harness and the slow tests: the caller drains the queue alongside
+   [size - 1] workers, so a pool of size n keeps exactly n domains busy,
+   and a pool of size 1 runs everything inline (single-core machines and
+   recursive uses stay safe).  [submit] is fire-and-forget for
+   long-lived asynchronous callers such as the planning service: any
+   idle worker takes the job, and a new worker domain is spawned only
+   when a job finds none idle, up to [size].  Every live domain costs
    real throughput even when idle (each one extends the stop-the-world
-   barrier of every minor collection), so a shard that never sees a
-   job must never pay for a worker. *)
-type worker_queue = {
-  q : job Queue.t;
-  m : Mutex.t;
-  c : Condition.t;
-  mutable peak : int;
+   barrier of every minor collection), so a pool that never sees
+   concurrent work never pays for a second worker. *)
+
+(* [Fanned] jobs come from [map]; [Submitted] ones from [submit], and
+   only those are counted in the worker's telemetry — a GC sample costs
+   about a microsecond, too much for the flush's many tiny jobs. *)
+type task = Fanned of (unit -> unit) | Submitted of (unit -> unit)
+
+(* One worker slot.  Telemetry is written by the worker itself, under
+   the pool lock: the GC word counts come from the worker's own
+   [Gc.quick_stat] — minor/major words are domain-local in OCaml 5, so
+   only the worker can read them — sampled once per submitted job. *)
+type worker = {
   mutable domain : unit Domain.t option;
-  (* Telemetry the worker writes about itself, under [m].  The GC word
-     counts come from the worker's own [Gc.quick_stat] — minor/major
-     words are domain-local in OCaml 5, so only the worker can read
-     them — sampled once per completed job. *)
   mutable jobs_done : int;
   mutable minor_words : float;
   mutable major_words : float;
 }
 
 type worker_stats = {
-  pending : int;
-  peak : int;
   jobs_done : int;
   minor_words : float;
   major_words : float;
   live : bool;
 }
 
+(* Everything mutable is guarded by [mutex]. *)
 type t = {
   size : int;
-  dedicated : bool;
-  queue : job Queue.t;  (* map-mode shared queue *)
+  queue : task Queue.t;
   mutex : Mutex.t;
   nonempty : Condition.t;
-  wqs : worker_queue array;  (* dedicated mode; [||] otherwise *)
-  rr : int Atomic.t;  (* round-robin cursor for un-targeted [submit] *)
-  closed : bool Atomic.t;
-  mutable workers : unit Domain.t list;
+  workers : worker array;  (* slot i holds the i-th domain spawned *)
+  mutable live : int;  (* domains spawned so far *)
+  mutable idle : int;  (* live workers blocked waiting for a job *)
+  mutable closed : bool;
 }
 
 let default_size () = max 1 (min 8 (Domain.recommended_domain_count ()))
 
-let rec worker_loop t =
+(* A worker records the job it just finished in the same critical
+   section in which it takes the next one, so once its [jobs_done] is
+   visible it is either running another job or counted idle. *)
+let rec worker_loop t (w : worker) sample =
   Mutex.lock t.mutex;
+  (match sample with
+  | Some (gc : Gc.stat) ->
+    w.jobs_done <- w.jobs_done + 1;
+    w.minor_words <- gc.minor_words;
+    w.major_words <- gc.major_words
+  | None -> ());
   let rec next () =
-    if Atomic.get t.closed then None
+    if t.closed then None
     else
       match Queue.take_opt t.queue with
-      | Some job -> Some job
+      | Some task -> Some task
       | None ->
+        t.idle <- t.idle + 1;
         Condition.wait t.nonempty t.mutex;
+        t.idle <- t.idle - 1;
         next ()
   in
-  let job = next () in
+  let task = next () in
   Mutex.unlock t.mutex;
-  match job with
+  match task with
   | None -> ()
-  | Some job ->
+  | Some (Fanned job) ->
     (try job () with _ -> ());
-    worker_loop t
-
-(* A dedicated worker drains only its own queue.  No stealing: the
-   point of per-worker queues is that a shard's jobs stay on the
-   shard's worker, and admission bounds each queue upstream. *)
-let rec dedicated_loop t w =
-  Mutex.lock w.m;
-  let rec next () =
-    if Atomic.get t.closed then None
-    else
-      match Queue.take_opt w.q with
-      | Some job -> Some job
-      | None ->
-        Condition.wait w.c w.m;
-        next ()
-  in
-  let job = next () in
-  Mutex.unlock w.m;
-  match job with
-  | None -> ()
-  | Some job ->
+    worker_loop t w None
+  | Some (Submitted job) ->
     (try job () with _ -> ());
-    let gc = Gc.quick_stat () in
-    Mutex.lock w.m;
-    w.jobs_done <- w.jobs_done + 1;
-    w.minor_words <- gc.Gc.minor_words;
-    w.major_words <- gc.Gc.major_words;
-    Mutex.unlock w.m;
-    dedicated_loop t w
+    worker_loop t w (Some (Gc.quick_stat ()))
 
-let create ?size ?(dedicated = false) () =
+(* Under [mutex]. *)
+let spawn_locked t =
+  let w = t.workers.(t.live) in
+  w.domain <- Some (Domain.spawn (fun () -> worker_loop t w None));
+  t.live <- t.live + 1
+
+let create ?size () =
   let size = match size with Some s -> max 1 s | None -> default_size () in
-  let t =
-    {
-      size;
-      dedicated;
-      queue = Queue.create ();
-      mutex = Mutex.create ();
-      nonempty = Condition.create ();
-      wqs =
-        (if dedicated then
-           Array.init size (fun _ ->
-               {
-                 q = Queue.create ();
-                 m = Mutex.create ();
-                 c = Condition.create ();
-                 peak = 0;
-                 domain = None;
-                 jobs_done = 0;
-                 minor_words = 0.0;
-                 major_words = 0.0;
-               })
-         else [||]);
-      rr = Atomic.make 0;
-      closed = Atomic.make false;
-      workers = [];
-    }
-  in
-  (* A dedicated pool's workers are spawned lazily, one per queue, on
-     first use (see [submit_to]); a map-style pool spawns [size - 1]
-     eagerly and the caller drains alongside them. *)
-  if not dedicated then
-    t.workers <-
-      List.init (size - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
-  t
+  {
+    size;
+    queue = Queue.create ();
+    mutex = Mutex.create ();
+    nonempty = Condition.create ();
+    workers =
+      Array.init size (fun _ ->
+          { domain = None; jobs_done = 0; minor_words = 0.0; major_words = 0.0 });
+    live = 0;
+    idle = 0;
+    closed = false;
+  }
 
 let size t = t.size
 
-(* Fire-and-forget onto worker [i]'s private queue.  The job's own
-   completion signalling (if any) is the caller's business — the
-   planning service layers job records with mutex/condvar on top. *)
-let submit_to t i job =
-  if not t.dedicated then
-    invalid_arg "Domain_pool.submit_to: pool was not created with ~dedicated";
-  if i < 0 || i >= t.size then
-    invalid_arg
-      (Printf.sprintf "Domain_pool.submit_to: worker %d of %d" i t.size);
-  let w = t.wqs.(i) in
-  Mutex.lock w.m;
-  if Atomic.get t.closed then begin
-    Mutex.unlock w.m;
-    invalid_arg "Domain_pool.submit_to: pool is shut down"
-  end;
-  Queue.add job w.q;
-  let depth = Queue.length w.q in
-  if depth > w.peak then w.peak <- depth;
-  if w.domain = None then
-    (* First job ever for this worker: bring its domain up now.  The
-       job is already queued, so the fresh loop finds it without
-       needing the signal below. *)
-    w.domain <- Some (Domain.spawn (fun () -> dedicated_loop t w));
-  Condition.signal w.c;
-  Mutex.unlock w.m
-
 let submit t job =
-  if not t.dedicated then
-    invalid_arg "Domain_pool.submit: pool was not created with ~dedicated";
-  let k = Atomic.fetch_and_add t.rr 1 in
-  submit_to t (k mod t.size) job
+  Mutex.lock t.mutex;
+  if t.closed then begin
+    Mutex.unlock t.mutex;
+    invalid_arg "Domain_pool.submit: pool is shut down"
+  end;
+  Queue.add (Submitted job) t.queue;
+  (* More queued jobs than idle workers: this one would wait, so bring
+     up another domain if the pool has room.  The fresh worker finds
+     the job without needing the signal. *)
+  if Queue.length t.queue > t.idle && t.live < t.size then spawn_locked t
+  else Condition.signal t.nonempty;
+  Mutex.unlock t.mutex
 
-let pending_per_worker t =
-  Array.map
-    (fun w ->
-      Mutex.lock w.m;
-      let n = Queue.length w.q in
-      Mutex.unlock w.m;
-      n)
-    t.wqs
-
-let peak_per_worker t =
-  Array.map
-    (fun w ->
-      Mutex.lock w.m;
-      let n = w.peak in
-      Mutex.unlock w.m;
-      n)
-    t.wqs
+let pending t =
+  Mutex.lock t.mutex;
+  let n = Queue.length t.queue in
+  Mutex.unlock t.mutex;
+  n
 
 let worker_stats t =
-  Array.map
-    (fun w ->
-      Mutex.lock w.m;
-      let s =
+  Mutex.lock t.mutex;
+  let s =
+    Array.map
+      (fun (w : worker) ->
         {
-          pending = Queue.length w.q;
-          peak = w.peak;
           jobs_done = w.jobs_done;
           minor_words = w.minor_words;
           major_words = w.major_words;
           live = w.domain <> None;
-        }
-      in
-      Mutex.unlock w.m;
-      s)
-    t.wqs
-
-let pending t =
-  if t.dedicated then Array.fold_left ( + ) 0 (pending_per_worker t)
-  else begin
-    Mutex.lock t.mutex;
-    let n = Queue.length t.queue in
-    Mutex.unlock t.mutex;
-    n
-  end
-
-let shutdown t =
-  Atomic.set t.closed true;
-  Mutex.lock t.mutex;
-  Condition.broadcast t.nonempty;
-  Mutex.unlock t.mutex;
-  (* Collect each dedicated worker's domain under its queue lock —
-     [submit_to] observes [closed] under the same lock, so no spawn can
-     race past this point. *)
-  let lazy_workers =
-    Array.fold_left
-      (fun acc w ->
-        Mutex.lock w.m;
-        Condition.broadcast w.c;
-        let d = w.domain in
-        w.domain <- None;
-        Mutex.unlock w.m;
-        match d with Some d -> d :: acc | None -> acc)
-      [] t.wqs
+        })
+      t.workers
   in
-  List.iter Domain.join lazy_workers;
-  List.iter Domain.join t.workers;
-  t.workers <- []
+  Mutex.unlock t.mutex;
+  s
+
+(* [closed] is set under the lock [submit] and [map] spawn under, so
+   no domain can be spawned past this point. *)
+let shutdown t =
+  Mutex.lock t.mutex;
+  t.closed <- true;
+  Condition.broadcast t.nonempty;
+  let domains = Array.to_list (Array.map (fun w -> w.domain) t.workers) in
+  Array.iter (fun w -> w.domain <- None) t.workers;
+  Mutex.unlock t.mutex;
+  List.iter (Option.iter Domain.join) domains
 
 (* Results are collected positionally; exceptions propagate to the
    caller once every slot has settled (so no worker is left writing into
@@ -263,8 +171,13 @@ let map t f xs =
       ignore (Atomic.fetch_and_add remaining (-1))
     in
     Mutex.lock t.mutex;
+    (* The first fan-out brings up the [size - 1] workers; the caller
+       is the last of the [size] domains. *)
+    while (not t.closed) && t.live < t.size - 1 do
+      spawn_locked t
+    done;
     for i = 0 to n - 1 do
-      Queue.add (fun () -> run i) t.queue
+      Queue.add (Fanned (fun () -> run i)) t.queue
     done;
     Condition.broadcast t.nonempty;
     Mutex.unlock t.mutex;
@@ -272,11 +185,11 @@ let map t f xs =
        briefly for stragglers still executing their last job. *)
     let rec drain () =
       Mutex.lock t.mutex;
-      let job = Queue.take_opt t.queue in
+      let task = Queue.take_opt t.queue in
       Mutex.unlock t.mutex;
-      match job with
-      | Some job ->
-        job ();
+      match task with
+      | Some (Fanned job | Submitted job) ->
+        (try job () with _ -> ());
         drain ()
       | None -> ()
     in

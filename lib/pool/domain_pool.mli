@@ -1,17 +1,16 @@
-(** A small fixed pool of worker domains for embarrassingly-parallel
-    fan-out (per-benchmark synthesis and optimization in the harness and
-    tests).
+(** A small pool of worker domains draining one shared job queue.
 
-    The pool spawns [size - 1] worker domains; during [map] the calling
-    domain drains the queue alongside them, so a pool of size [n] keeps
-    exactly [n] domains busy.  A pool of size 1 spawns nothing and runs
-    every job inline — single-core machines degrade gracefully to the
-    serial behaviour.
+    [map] fans a list out (the router's parallel port-pair flush, the
+    harness, the slow tests): the calling domain drains the queue
+    alongside [size - 1] workers, so a pool of size [n] keeps exactly
+    [n] domains busy.  A pool of size 1 runs every [map] inline —
+    single-core machines degrade gracefully to the serial behaviour.
 
-    A pool created with [~dedicated:true] instead owns one private
-    queue per worker: [submit_to] targets a specific worker, so a
-    sharded caller (the planning service hashes plan digests to shards)
-    touches one short per-worker lock, never a pool-global one. *)
+    [submit] is fire-and-forget for long-lived asynchronous callers (the
+    planning service): any idle worker takes the job.  Worker domains
+    are spawned lazily — one starts only when a submitted job finds no
+    idle worker, up to [size] — because every live domain lengthens the
+    stop-the-world barrier of every minor collection. *)
 
 type t
 
@@ -19,62 +18,38 @@ type t
     [1..8] (the fan-out here is at most the eight Table II benchmarks). *)
 val default_size : unit -> int
 
-(** [create ?size ?dedicated ()] makes a pool.  [size] defaults to
-    [default_size]; values below 1 are clamped to 1.
-
-    With [~dedicated:true] the pool owns [size] workers, each draining
-    its own private queue continuously — the owning domain never
-    participates.  A dedicated worker's domain is spawned lazily, on
-    the first job ever sent its way: every live domain lengthens the
-    stop-the-world barrier of every minor collection, so a queue that
-    never sees a job never costs one.  This is the mode for long-lived
-    asynchronous use ([submit]/[submit_to], as in the planning
-    service); the default mode spawns [size - 1] domains eagerly for
-    [map]-style fan-out where the caller drains alongside them. *)
-val create : ?size:int -> ?dedicated:bool -> unit -> t
+(** [create ?size ()] makes a pool with no domains yet.  [size] defaults
+    to [default_size]; values below 1 are clamped to 1. *)
+val create : ?size:int -> unit -> t
 
 val size : t -> int
 
-(** [submit_to t i job] enqueues [job] on worker [i]'s private queue and
-    returns immediately.  Exceptions from [job] are swallowed by the
-    worker loop; completion signalling is the caller's responsibility.
-    @raise Invalid_argument on a non-dedicated or shut-down pool, or an
-    out-of-range worker index. *)
-val submit_to : t -> int -> (unit -> unit) -> unit
-
-(** [submit t job] enqueues [job] on the next worker, round-robin.
-    @raise Invalid_argument on a non-dedicated or shut-down pool. *)
+(** [submit t job] enqueues [job] on the shared queue and returns
+    immediately, spawning a worker domain if no idle one can take it
+    and fewer than [size] are live.  Exceptions from [job] are
+    swallowed by the worker loop; completion signalling is the caller's
+    responsibility.
+    @raise Invalid_argument on a shut-down pool. *)
 val submit : t -> (unit -> unit) -> unit
 
-(** Jobs enqueued but not yet picked up by a worker (summed over all
-    per-worker queues in dedicated mode). *)
+(** Jobs enqueued but not yet picked up by a worker. *)
 val pending : t -> int
 
-(** Per-worker queue depths, index [i] for worker [i].  [[||]] for a
-    non-dedicated pool. *)
-val pending_per_worker : t -> int array
-
-(** Per-worker high-water marks: the deepest each worker's queue has
-    ever been at enqueue time.  [[||]] for a non-dedicated pool. *)
-val peak_per_worker : t -> int array
-
-(** One dedicated worker's telemetry, as sampled by the worker itself
-    after each completed job.  [minor_words]/[major_words] are the
-    worker domain's cumulative GC allocation counters
-    ([Gc.quick_stat], domain-local in OCaml 5 — only the worker can
-    read its own), so their deltas rate cleanly in a scraper.  [live]
-    is whether the lazily-spawned domain exists yet. *)
+(** One worker slot's telemetry, as sampled by the worker itself after
+    each submitted job.  [minor_words]/[major_words] are the worker
+    domain's cumulative GC allocation counters ([Gc.quick_stat],
+    domain-local in OCaml 5 — only the worker can read its own), so
+    their deltas rate cleanly in a scraper.  [live] is whether the
+    slot's lazily-spawned domain exists. *)
 type worker_stats = {
-  pending : int;
-  peak : int;
   jobs_done : int;
   minor_words : float;
   major_words : float;
   live : bool;
 }
 
-(** Per-worker telemetry snapshot, index [i] for worker [i].  [[||]]
-    for a non-dedicated pool. *)
+(** Per-slot telemetry, index [i] for the [i]-th domain spawned; always
+    [size] entries. *)
 val worker_stats : t -> worker_stats array
 
 (** [map t f xs] applies [f] to every element, fanning the calls out
@@ -83,7 +58,7 @@ val worker_stats : t -> worker_stats array
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 
 (** Signal the workers to exit and join them.  Jobs still queued are
-    abandoned.  The pool must not be used afterwards. *)
+    abandoned.  [submit] raises afterwards. *)
 val shutdown : t -> unit
 
 (** [with_pool f] runs [f] with a fresh pool and always shuts it down. *)

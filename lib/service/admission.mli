@@ -21,7 +21,7 @@ val release : t -> unit
 
 val in_flight : t -> int
 
-(** High-water mark of [in_flight] since creation — the shard's
+(** High-water mark of [in_flight] since creation — the
     queued+running depth peak reported by stats and the serve bench. *)
 val peak : t -> int
 

@@ -9,9 +9,6 @@ module Json_export = Pdw_wash.Json_export
 module Trace = Pdw_obs.Trace
 module Clock = Pdw_obs.Clock
 
-(* Mirrors bin/main.ml's [synthesize]: the motivating example runs on
-   the paper's hand-built Fig. 2 layout, everything else on a freshly
-   synthesized chip. *)
 let synthesize_benchmark name b =
   if String.lowercase_ascii name = "motivating" then
     Synthesis.synthesize ~layout:(Layout_builder.fig2_layout ()) b

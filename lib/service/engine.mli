@@ -10,10 +10,19 @@
     repeat-request speed comes from the plan cache above, not from
     sharing mutable synthesis state between workers. *)
 
+(** [synthesize_benchmark name b] is the synthesis every planner entry
+    point starts from: the motivating example (by [name],
+    case-insensitively) on the paper's hand-built Fig. 2 layout,
+    everything else on a freshly synthesized chip.  [pdw run] and the
+    other one-shot subcommands call it too. *)
+val synthesize_benchmark :
+  string -> Pdw_assay.Benchmarks.t -> Pdw_synth.Synthesis.t
+
 (** [plan spec] is the outcome JSON text, or a user-facing error
     (unknown benchmark, assay parse failure).  Never raises for bad
-    input; planner bugs propagate as exceptions for the server's retry
-    logic to classify. *)
+    input; a planner exception propagates to the caller (the server
+    answers it with an error reply at once — the planner is
+    deterministic, so retrying would only repeat it). *)
 val plan : Protocol.spec -> (string, string) result
 
 (** [plan] plus the request's own stage timings — monotonic wall

@@ -7,10 +7,8 @@ let c_promotions = Counters.counter "service.cache.promotions"
 let c_demotions = Counters.counter "service.cache.demotions"
 
 (* Doubly-linked LRU list threaded through a hash table.  [head] is the
-   most recently used entry, [tail] the eviction candidate.  One such
-   structure per shard; a digest maps to exactly one shard, so every
-   operation takes exactly one short per-shard lock and concurrent
-   traffic on distinct shards never contends. *)
+   most recently used entry, [tail] the eviction candidate.  Every
+   operation takes the one short [lock]. *)
 type node = {
   key : string;
   mutable value : string;
@@ -18,8 +16,8 @@ type node = {
   mutable next : node option;  (* towards tail *)
 }
 
-type shard = {
-  shard_capacity : int;
+type t = {
+  capacity : int;
   table : (string, node) Hashtbl.t;
   mutable head : node option;
   mutable tail : node option;
@@ -29,101 +27,84 @@ type shard = {
   mutable promotions : int;
   mutable demotions : int;
   lock : Mutex.t;
+  store : Plan_store.t option;
 }
 
-type t = { shards : shard array; store : Plan_store.t option }
-
-let create ~capacity ?(shards = 1) ?store () =
+let create ~capacity ?store () =
   let capacity = max 1 capacity in
-  let shards = max 1 (min shards capacity) in
-  (* Round the per-shard budget up: the cache may hold slightly more
-     than [capacity] in total, never less per shard than its fair
-     share — an LRU that silently shrank per shard would evict hot
-     entries a single-shard cache of the same capacity would keep. *)
-  let shard_capacity = (capacity + shards - 1) / shards in
   {
+    capacity;
+    table = Hashtbl.create (2 * capacity);
+    head = None;
+    tail = None;
+    hits = 0;
+    misses = 0;
+    evictions = 0;
+    promotions = 0;
+    demotions = 0;
+    lock = Mutex.create ();
     store;
-    shards =
-      Array.init shards (fun _ ->
-          {
-            shard_capacity;
-            table = Hashtbl.create (2 * shard_capacity);
-            head = None;
-            tail = None;
-            hits = 0;
-            misses = 0;
-            evictions = 0;
-            promotions = 0;
-            demotions = 0;
-            lock = Mutex.create ();
-          });
   }
 
 let store t = t.store
 
-let shard_count t = Array.length t.shards
-
-let shard_of t key = t.shards.(Hashtbl.hash key mod Array.length t.shards)
-
-let unlink s n =
-  (match n.prev with Some p -> p.next <- n.next | None -> s.head <- n.next);
-  (match n.next with Some x -> x.prev <- n.prev | None -> s.tail <- n.prev);
+let unlink t n =
+  (match n.prev with Some p -> p.next <- n.next | None -> t.head <- n.next);
+  (match n.next with Some x -> x.prev <- n.prev | None -> t.tail <- n.prev);
   n.prev <- None;
   n.next <- None
 
-let push_front s n =
-  n.next <- s.head;
+let push_front t n =
+  n.next <- t.head;
   n.prev <- None;
-  (match s.head with Some h -> h.prev <- Some n | None -> s.tail <- Some n);
-  s.head <- Some n
+  (match t.head with Some h -> h.prev <- Some n | None -> t.tail <- Some n);
+  t.head <- Some n
 
-let locked s f =
-  Mutex.lock s.lock;
-  Fun.protect f ~finally:(fun () -> Mutex.unlock s.lock)
+let locked t f =
+  Mutex.lock t.lock;
+  Fun.protect f ~finally:(fun () -> Mutex.unlock t.lock)
 
-(* Insert or refresh under the shard lock, evicting the shard's LRU
-   entry at capacity.  Shared by [add] and the store-promotion path. *)
-let insert_locked s key value =
-  match Hashtbl.find_opt s.table key with
+(* Insert or refresh under the lock, evicting the LRU entry at
+   capacity.  Shared by [add] and the store-promotion path. *)
+let insert_locked t key value =
+  match Hashtbl.find_opt t.table key with
   | Some n ->
     n.value <- value;
-    unlink s n;
-    push_front s n
+    unlink t n;
+    push_front t n
   | None ->
-    if Hashtbl.length s.table >= s.shard_capacity then begin
-      match s.tail with
+    if Hashtbl.length t.table >= t.capacity then begin
+      match t.tail with
       | Some lru ->
-        unlink s lru;
-        Hashtbl.remove s.table lru.key;
-        s.evictions <- s.evictions + 1;
+        unlink t lru;
+        Hashtbl.remove t.table lru.key;
+        t.evictions <- t.evictions + 1;
         Counters.incr c_evictions
       | None -> ()
     end;
     let n = { key; value; prev = None; next = None } in
-    Hashtbl.replace s.table key n;
-    push_front s n
+    Hashtbl.replace t.table key n;
+    push_front t n
 
 type tier = Memory | Store
 
 (* Memory first, then the persistent store.  A store hit is *promoted*
    into the memory tier (and counted as such) so the next lookup is a
-   memory hit; the disk read happens outside the shard lock — a slow
-   store never blocks the shard's memory traffic.  Memory-tier eviction
-   never deletes from the store: the store is the bigger, slower
-   tier. *)
+   memory hit; the disk read happens outside the lock — a slow store
+   never blocks memory traffic.  Memory-tier eviction never deletes
+   from the store: the store is the bigger, slower tier. *)
 let find_tier t key =
-  let s = shard_of t key in
   let memory =
-    locked s @@ fun () ->
-    match Hashtbl.find_opt s.table key with
+    locked t @@ fun () ->
+    match Hashtbl.find_opt t.table key with
     | Some n ->
-      s.hits <- s.hits + 1;
+      t.hits <- t.hits + 1;
       Counters.incr c_hits;
-      unlink s n;
-      push_front s n;
+      unlink t n;
+      push_front t n;
       Some n.value
     | None ->
-      s.misses <- s.misses + 1;
+      t.misses <- t.misses + 1;
       Counters.incr c_misses;
       None
   in
@@ -133,26 +114,25 @@ let find_tier t key =
     match Option.bind t.store (fun st -> Plan_store.find st key) with
     | None -> None
     | Some v ->
-      locked s (fun () ->
-          s.promotions <- s.promotions + 1;
+      locked t (fun () ->
+          t.promotions <- t.promotions + 1;
           Counters.incr c_promotions;
-          insert_locked s key v);
+          insert_locked t key v);
       Some (v, Store))
 
 let find t key = Option.map fst (find_tier t key)
 
 (* Write-through: every fresh plan lands in both tiers, so a restarted
    (or newly joined) process finds it on disk.  The store write happens
-   outside the shard lock for the same reason the store read does. *)
+   outside the lock for the same reason the store read does. *)
 let add t key value =
-  let s = shard_of t key in
-  locked s (fun () -> insert_locked s key value);
+  locked t (fun () -> insert_locked t key value);
   match t.store with
   | None -> ()
   | Some st ->
     Plan_store.add st key value;
-    locked s (fun () ->
-        s.demotions <- s.demotions + 1;
+    locked t (fun () ->
+        t.demotions <- t.demotions + 1;
         Counters.incr c_demotions)
 
 type stats = {
@@ -165,46 +145,17 @@ type stats = {
   capacity : int;
 }
 
-let shard_stats t =
-  Array.map
-    (fun s ->
-      locked s @@ fun () ->
-      {
-        hits = s.hits;
-        misses = s.misses;
-        evictions = s.evictions;
-        promotions = s.promotions;
-        demotions = s.demotions;
-        length = Hashtbl.length s.table;
-        capacity = s.shard_capacity;
-      })
-    t.shards
-
-(* Aggregated over shards.  Each shard is snapshotted under its own
-   lock; the sum is exactly the sum of those snapshots (what the stats
-   endpoint's consistency check relies on), not a global freeze. *)
 let stats t =
-  Array.fold_left
-    (fun acc s ->
-      {
-        hits = acc.hits + s.hits;
-        misses = acc.misses + s.misses;
-        evictions = acc.evictions + s.evictions;
-        promotions = acc.promotions + s.promotions;
-        demotions = acc.demotions + s.demotions;
-        length = acc.length + s.length;
-        capacity = acc.capacity + s.capacity;
-      })
-    {
-      hits = 0;
-      misses = 0;
-      evictions = 0;
-      promotions = 0;
-      demotions = 0;
-      length = 0;
-      capacity = 0;
-    }
-    (shard_stats t)
+  locked t @@ fun () ->
+  {
+    hits = t.hits;
+    misses = t.misses;
+    evictions = t.evictions;
+    promotions = t.promotions;
+    demotions = t.demotions;
+    length = Hashtbl.length t.table;
+    capacity = t.capacity;
+  }
 
 let store_stats t = Option.map Plan_store.stats t.store
 

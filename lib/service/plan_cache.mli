@@ -2,28 +2,21 @@
     (layout+assay, method, config) request → the full outcome JSON a
     one-shot run would print.
 
-    Sharded bounded LRU: a digest hashes to one of [shards] independent
-    LRU structures, each with its own lock, recency list and counters —
-    concurrent traffic on distinct shards never contends, and every
-    operation takes exactly one short per-shard lock.  [add] beyond a
-    shard's capacity evicts that shard's least-recently-used entry;
-    [find] promotes.  Hit, miss and eviction counts feed both the
-    module's own [stats] record and the [Pdw_obs.Counters] table
-    ([service.cache.*]). *)
+    One bounded LRU behind one short lock.  [add] at capacity evicts the
+    least-recently-used entry; [find] promotes.  Hit, miss and eviction
+    counts feed both the module's own [stats] record and the
+    [Pdw_obs.Counters] table ([service.cache.*]). *)
 
 type t
 
-(** [create ~capacity ?shards ?store ()] — [capacity] is clamped to at
-    least 1, [shards] (default 1) to [1..capacity].  Each shard holds
-    up to [ceil (capacity / shards)] entries, so the total never rounds
-    below [capacity].  With [store], the in-memory LRU becomes the
-    first tier over a persistent {!Plan_store}: misses fall through to
-    disk (a hit there is {e promoted} into memory), and every [add]
-    writes through (a {e demotion} in tiering parlance — the plan now
-    also lives in the bigger, slower tier and survives restarts). *)
-val create : capacity:int -> ?shards:int -> ?store:Plan_store.t -> unit -> t
-
-val shard_count : t -> int
+(** [create ~capacity ?store ()] holds up to [capacity] plans
+    ([capacity] is clamped to at least 1).  With [store], the in-memory
+    LRU becomes the first tier over a persistent {!Plan_store}: misses
+    fall through to disk (a hit there is {e promoted} into memory), and
+    every [add] writes through (a {e demotion} in tiering parlance — the
+    plan now also lives in the bigger, slower tier and survives
+    restarts). *)
+val create : capacity:int -> ?store:Plan_store.t -> unit -> t
 
 (** The persistent tier, when configured. *)
 val store : t -> Plan_store.t option
@@ -32,7 +25,7 @@ val store : t -> Plan_store.t option
 type tier = Memory | Store
 
 (** [find_tier t digest] is the cached outcome and the tier that held
-    it.  A [Memory] hit promotes within its shard's LRU; a [Store] hit
+    it.  A [Memory] hit promotes within the LRU; a [Store] hit
     additionally promotes the plan into the memory tier.  Counts a
     memory hit, or a memory miss followed by the store's own
     hit/miss. *)
@@ -41,9 +34,9 @@ val find_tier : t -> string -> (string * tier) option
 (** [find t digest] is [find_tier] without the tier. *)
 val find : t -> string -> string option
 
-(** [add t digest outcome] inserts or refreshes, evicting the owning
-    shard's LRU entry when that shard is at capacity; with a store
-    configured the plan is also persisted (write-through). *)
+(** [add t digest outcome] inserts or refreshes, evicting the LRU entry
+    at capacity; with a store configured the plan is also persisted
+    (write-through). *)
 val add : t -> string -> string -> unit
 
 type stats = {
@@ -56,14 +49,8 @@ type stats = {
   capacity : int;
 }
 
-(** Aggregate over all shards.  Each shard is snapshotted under its own
-    lock; the totals are exactly the field-wise sums of {!shard_stats}
-    taken at the same moment. *)
+(** A snapshot taken under the cache lock. *)
 val stats : t -> stats
-
-(** One snapshot per shard, index-aligned with the internal shard
-    array. *)
-val shard_stats : t -> stats array
 
 (** [hit_rate s] is hits / (hits + misses), or 0 before any lookup. *)
 val hit_rate : stats -> float

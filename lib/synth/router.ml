@@ -8,9 +8,6 @@ module Trace = Pdw_obs.Trace
 module Counters = Pdw_obs.Counters
 
 let c_flush_calls = Counters.counter "synth.router.flush_calls"
-let c_flush_hits = Counters.counter "synth.router.flush_memo_hits"
-let c_flush_misses = Counters.counter "synth.router.flush_memo_misses"
-let c_memo_evictions = Counters.counter "synth.router.flush_memo_evictions"
 let c_lb_pruned = Counters.counter "synth.router.pairs_lb_pruned"
 let c_covering = Counters.counter "synth.router.covering_searches"
 
@@ -264,7 +261,8 @@ let flush_pool () =
    see [Search_kernel.prepare]. *)
 let flush_token = Atomic.make 0
 
-let flush_uncached layout ~avoid ?cost ~targets () =
+let flush layout ?(avoid = Coord.Set.empty) ?cost ~targets () =
+  Counters.incr c_flush_calls;
   Trace.with_span ~cat:"synth" "router.flush" @@ fun () ->
   let flow_ports = Layout.flow_ports layout in
   let waste_ports = Layout.waste_ports layout in
@@ -364,97 +362,6 @@ let flush_uncached layout ~avoid ?cost ~targets () =
     ignore (Pool.map pool eval scored)
   | _ -> List.iter eval scored);
   Option.map (fun (_, p, f, w) -> (p, f, w)) !best_slot
-
-(* --- memoization --------------------------------------------------- *)
-
-(* With no avoid set and no cost function, a flush path depends only on
-   the (immutable) layout and the target set, so results are memoized:
-   the planner asks for the same fallback path for the same group across
-   rounds, and DAWO-style planning always takes this branch.  Layouts
-   are keyed by physical identity in a small LRU registry; target sets
-   by their sorted elements, because structurally equal [Coord.Set.t]
-   trees can hash differently.  The registry lock covers only the scan
-   and eviction; each entry's own lock covers its table operations, so
-   a long flush on one layout never blocks lookups on another. *)
-
-type memo_entry = {
-  m_layout : Layout.t;
-  tbl : (Coord.t list, (Gpath.t * int * int) option) Hashtbl.t;
-  tbl_lock : Mutex.t;
-  mutable last_used : int;
-}
-
-let memo_registry : memo_entry list ref = ref []
-let memo_registry_lock = Mutex.create ()
-let memo_clock = Atomic.make 0
-let flush_memo_cap = 8
-
-let flush_table layout =
-  let tick = 1 + Atomic.fetch_and_add memo_clock 1 in
-  Mutex.lock memo_registry_lock;
-  let entry =
-    match
-      List.find_opt (fun e -> e.m_layout == layout) !memo_registry
-    with
-    | Some e ->
-      e.last_used <- tick;
-      e
-    | None ->
-      if List.length !memo_registry >= flush_memo_cap then begin
-        let victim =
-          List.fold_left
-            (fun acc e ->
-              match acc with
-              | Some b when b.last_used <= e.last_used -> acc
-              | _ -> Some e)
-            None !memo_registry
-        in
-        match victim with
-        | Some v ->
-          memo_registry := List.filter (fun e -> e != v) !memo_registry;
-          Counters.incr c_memo_evictions
-        | None -> ()
-      end;
-      let e =
-        {
-          m_layout = layout;
-          tbl = Hashtbl.create 64;
-          tbl_lock = Mutex.create ();
-          last_used = tick;
-        }
-      in
-      memo_registry := e :: !memo_registry;
-      e
-  in
-  Mutex.unlock memo_registry_lock;
-  entry
-
-let flush layout ?avoid ?cost ~targets () =
-  Counters.incr c_flush_calls;
-  match (avoid, cost) with
-  | None, None ->
-    let entry = flush_table layout in
-    let key = Coord.Set.elements targets in
-    let cached =
-      Mutex.lock entry.tbl_lock;
-      let r = Hashtbl.find_opt entry.tbl key in
-      Mutex.unlock entry.tbl_lock;
-      r
-    in
-    (match cached with
-    | Some result ->
-      Counters.incr c_flush_hits;
-      result
-    | None ->
-      Counters.incr c_flush_misses;
-      let result = flush_uncached layout ~avoid:Coord.Set.empty ~targets () in
-      Mutex.lock entry.tbl_lock;
-      Hashtbl.replace entry.tbl key result;
-      Mutex.unlock entry.tbl_lock;
-      result)
-  | _ ->
-    let avoid = Option.value avoid ~default:Coord.Set.empty in
-    flush_uncached layout ~avoid ?cost ~targets ()
 
 let reachable layout ~src =
   let seen = Coord.Table.create 64 in

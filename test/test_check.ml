@@ -17,8 +17,8 @@ let test_all_benchmarks_verify () =
   (* Per-benchmark fan-out over a domain pool: each worker synthesizes,
      optimizes and validates independently; checks run on the caller. *)
   let results =
-    Pdw_wash.Domain_pool.with_pool (fun pool ->
-        Pdw_wash.Domain_pool.map pool
+    Pdw_pool.Domain_pool.with_pool (fun pool ->
+        Pdw_pool.Domain_pool.map pool
           (fun (name, b) ->
             let s = Synthesis.synthesize b in
             let pdw = Validate.outcome (Pdw.optimize s) in

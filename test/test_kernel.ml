@@ -5,8 +5,8 @@
    table-and-set implementations kept in [Router.Reference] — that
    identity is what keeps every planner metric byte-identical across
    the perf overhaul.  Plus: arena reuse across many searches (the
-   epoch trick), flush determinism across domain counts against a
-   brute-force oracle, and LRU behaviour of the flush memo. *)
+   epoch trick), and flush determinism across domain counts against a
+   brute-force oracle. *)
 
 module Coord = Pdw_geometry.Coord
 module Gpath = Pdw_geometry.Gpath
@@ -17,7 +17,6 @@ module Layout_builder = Pdw_biochip.Layout_builder
 module Placement = Pdw_synth.Placement
 module Router = Pdw_synth.Router
 module Search_kernel = Pdw_synth.Search_kernel
-module Counters = Pdw_obs.Counters
 
 (* --- random-instance plumbing -------------------------------------- *)
 
@@ -240,53 +239,14 @@ let prop_flush_matches_oracle_and_domains =
       let cells = routable_cells layout in
       let targets = random_subset st ~denom:15 cells in
       let expected = reference_flush layout ~targets in
-      (* [~avoid:empty] routes identically but skips the memo table. *)
       Router.set_flush_domains 1;
-      let seq = Router.flush layout ~avoid:Coord.Set.empty ~targets () in
+      let seq = Router.flush layout ~targets () in
       Router.set_flush_domains 2;
-      let par = Router.flush layout ~avoid:Coord.Set.empty ~targets () in
+      let par = Router.flush layout ~targets () in
       Router.set_flush_domains 1;
       check_flush_result "sequential flush" expected seq;
       check_flush_result "parallel flush" expected par;
       true)
-
-(* --- flush memo: LRU + eviction counter ---------------------------- *)
-
-let test_memo_lru () =
-  Counters.set_enabled true;
-  let value name =
-    match
-      List.find_opt (fun (n, _, _) -> n = name) (Counters.all ())
-    with
-    | Some (_, _, v) -> v
-    | None -> 0
-  in
-  let hits = "synth.router.flush_memo_hits" in
-  let evictions = "synth.router.flush_memo_evictions" in
-  let fresh_layout () =
-    Placement.layout ~device_kinds:[ Device.Mixer; Device.Heater ] ()
-  in
-  let flush layout =
-    ignore (Router.flush layout ~targets:Coord.Set.empty ())
-  in
-  let a = fresh_layout () and b = fresh_layout () in
-  flush a;
-  flush b;
-  flush a (* refresh A: B is now the least recently used *);
-  let evict0 = value evictions in
-  (* Fill the 8-entry registry past capacity: 6 more layouts reach the
-     cap, the 7th forces one eviction — of B, not A. *)
-  for _ = 1 to 7 do
-    flush (fresh_layout ())
-  done;
-  Alcotest.(check bool) "an eviction happened" true (value evictions > evict0);
-  let hits0 = value hits in
-  flush a;
-  Alcotest.(check int) "A survived (memo hit)" (hits0 + 1) (value hits);
-  let misses_before_b = value hits in
-  flush b;
-  Alcotest.(check int) "B was evicted (no new hit)" misses_before_b
-    (value hits)
 
 let () =
   Alcotest.run "pdw_search_kernel"
@@ -298,5 +258,4 @@ let () =
       ( "flush",
         List.map QCheck_alcotest.to_alcotest
           [ prop_flush_matches_oracle_and_domains ] );
-      ("memo", [ Alcotest.test_case "LRU eviction" `Quick test_memo_lru ]);
     ]

@@ -794,7 +794,6 @@ let mk_record ?(stages = [ ("cache", 0.02); ("queue", 1.5) ]) ~outcome
   {
     Reqtrace.id;
     digest = Printf.sprintf "d%04x" id;
-    shard = id mod 4;
     outcome;
     total_ms;
     stages;

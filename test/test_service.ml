@@ -299,16 +299,13 @@ let test_cache_refresh () =
     (Plan_cache.find c "a");
   Alcotest.(check int) "no growth" 1 (Plan_cache.stats c).Plan_cache.length
 
-(* Sharded cache under real parallelism: domains hammer overlapping
-   keys across shards, then every invariant the sharding must preserve
-   is checked — per-shard LRU bounds, totals equal to the field-wise
-   sum of the per-shard stats, and hit/miss tallies accounting for
-   every lookup. *)
-let test_cache_sharded_stress () =
-  let capacity = 32 and nshards = 4 and ndomains = 4 and ops = 1_000 in
+(* One LRU under real parallelism: domains hammer overlapping keys,
+   then the invariants are checked — the capacity bound holds and the
+   hit/miss tallies account for every lookup. *)
+let test_cache_concurrent_stress () =
+  let capacity = 32 and ndomains = 4 and ops = 1_000 in
   let nkeys = 64 in
-  let c = Plan_cache.create ~capacity ~shards:nshards () in
-  Alcotest.(check int) "shard count" nshards (Plan_cache.shard_count c);
+  let c = Plan_cache.create ~capacity () in
   let worker d () =
     for i = 0 to ops - 1 do
       let k = Printf.sprintf "k%d" (((i * 7) + d) mod nkeys) in
@@ -323,27 +320,12 @@ let test_cache_sharded_stress () =
   in
   let domains = List.init ndomains (fun d -> Domain.spawn (worker d)) in
   List.iter Domain.join domains;
-  let shard_stats = Plan_cache.shard_stats c in
-  Alcotest.(check int) "one stats row per shard" nshards
-    (Array.length shard_stats);
-  Array.iteri
-    (fun i (s : Plan_cache.stats) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "shard %d within its LRU bound" i)
-        true
-        (s.Plan_cache.length <= s.Plan_cache.capacity))
-    shard_stats;
   let total = Plan_cache.stats c in
-  let sum f = Array.fold_left (fun acc s -> acc + f s) 0 shard_stats in
-  Alcotest.(check int) "hits = sum of shard hits"
-    (sum (fun s -> s.Plan_cache.hits)) total.Plan_cache.hits;
-  Alcotest.(check int) "misses = sum of shard misses"
-    (sum (fun s -> s.Plan_cache.misses)) total.Plan_cache.misses;
-  Alcotest.(check int) "evictions = sum of shard evictions"
-    (sum (fun s -> s.Plan_cache.evictions)) total.Plan_cache.evictions;
-  Alcotest.(check int) "length = sum of shard lengths"
-    (sum (fun s -> s.Plan_cache.length)) total.Plan_cache.length;
-  (* Every [find] above was tallied exactly once, somewhere. *)
+  Alcotest.(check int) "capacity as configured" capacity
+    total.Plan_cache.capacity;
+  Alcotest.(check bool) "within the LRU bound" true
+    (total.Plan_cache.length <= capacity);
+  (* Every [find] above was tallied exactly once. *)
   Alcotest.(check int) "every lookup accounted for" (ndomains * ops)
     (total.Plan_cache.hits + total.Plan_cache.misses);
   Alcotest.(check bool) "64 keys through 32 slots forced evictions" true
@@ -361,69 +343,95 @@ let test_admission () =
   Alcotest.(check bool) "slot freed" true (Admission.try_admit a);
   Alcotest.(check int) "in flight" 2 (Admission.in_flight a);
   (* The high-water mark survives releases: it reports the deepest the
-     shard has ever been, not where it is now. *)
+     window has ever been, not where it is now. *)
   Admission.release a;
   Admission.release a;
   Alcotest.(check int) "peak sticks at the high-water mark" 2
     (Admission.peak a);
   Alcotest.(check int) "while in_flight drains" 0 (Admission.in_flight a)
 
-(* --- the worker pool's dedicated mode --- *)
+(* --- the worker pool's shared queue --- *)
 
 module Pool = Pdw_pool.Domain_pool
 
-let test_pool_dedicated () =
-  let pool = Pool.create ~size:3 ~dedicated:true () in
-  let counts = Array.init 3 (fun _ -> Atomic.make 0) in
-  let jobs_per_worker = 20 in
-  for _ = 1 to jobs_per_worker do
-    for i = 0 to 2 do
-      Pool.submit_to pool i (fun () -> Atomic.incr counts.(i))
-    done
+let await ?(within = 5.0) what cond =
+  let deadline = Unix.gettimeofday () +. within in
+  while (not (cond ())) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.005
   done;
-  let deadline = Unix.gettimeofday () +. 5.0 in
-  let all_done () =
-    Array.for_all (fun c -> Atomic.get c = jobs_per_worker) counts
-  in
-  while (not (all_done ())) && Unix.gettimeofday () < deadline do
-    Thread.delay 0.01
-  done;
-  Alcotest.(check bool) "every targeted job ran on its worker" true
-    (all_done ());
-  (* Each queue saw at least one enqueue, so each peak is positive, and
-     a peak never exceeds what was ever enqueued there. *)
-  Array.iteri
-    (fun i p ->
-      Alcotest.(check bool)
-        (Printf.sprintf "worker %d peak in [1..%d]" i jobs_per_worker)
-        true
-        (p >= 1 && p <= jobs_per_worker))
-    (Pool.peak_per_worker pool);
-  Alcotest.(check int) "nothing left pending" 0 (Pool.pending pool);
-  Pool.shutdown pool;
-  match Pool.submit_to pool 0 (fun () -> ()) with
-  | () -> Alcotest.fail "submit_to accepted a job after shutdown"
-  | exception Invalid_argument _ -> ()
+  if not (cond ()) then Alcotest.failf "timed out waiting for %s" what
 
-let test_pool_round_robin () =
-  let pool = Pool.create ~size:2 ~dedicated:true () in
-  let total = 10 in
-  let seen = Atomic.make 0 in
-  for _ = 1 to total do
-    Pool.submit pool (fun () -> Atomic.incr seen)
+let live_workers pool =
+  Array.fold_left
+    (fun n (w : Pool.worker_stats) -> if w.live then n + 1 else n)
+    0 (Pool.worker_stats pool)
+
+let jobs_done pool =
+  Array.fold_left
+    (fun n (w : Pool.worker_stats) -> n + w.jobs_done)
+    0 (Pool.worker_stats pool)
+
+let test_pool_every_job_once () =
+  let pool = Pool.create ~size:3 () in
+  let n = 60 in
+  let runs = Array.init n (fun _ -> Atomic.make 0) in
+  for i = 0 to n - 1 do
+    Pool.submit pool (fun () -> Atomic.incr runs.(i))
   done;
-  let deadline = Unix.gettimeofday () +. 5.0 in
-  while Atomic.get seen < total && Unix.gettimeofday () < deadline do
-    Thread.delay 0.01
-  done;
-  Alcotest.(check int) "all round-robin jobs ran" total (Atomic.get seen);
-  (* Round-robin spreads the backlog: both private queues were used. *)
+  await "every job" (fun () -> jobs_done pool = n);
   Array.iteri
-    (fun i p ->
-      Alcotest.(check bool) (Printf.sprintf "worker %d saw work" i) true
-        (p >= 1))
-    (Pool.peak_per_worker pool);
+    (fun i r -> Alcotest.(check int) (Printf.sprintf "job %d ran once" i) 1
+        (Atomic.get r))
+    runs;
+  Alcotest.(check int) "nothing left pending" 0 (Pool.pending pool);
   Pool.shutdown pool
+
+(* A worker is counted idle by the time its finished job shows up in
+   [jobs_done], so each submit here finds the first worker idle. *)
+let test_pool_sequential_one_worker () =
+  let pool = Pool.create ~size:4 () in
+  for i = 1 to 8 do
+    Pool.submit pool (fun () -> ());
+    await "the job" (fun () -> jobs_done pool = i)
+  done;
+  Alcotest.(check int) "one worker domain" 1 (live_workers pool);
+  Pool.shutdown pool
+
+(* N jobs that block until released: each finds every live worker
+   busy, so the pool grows to min(N, size) domains and no further. *)
+let test_pool_blocked_jobs_spawn () =
+  List.iter
+    (fun (n, size) ->
+      let pool = Pool.create ~size () in
+      let release = Atomic.make false in
+      let started = Atomic.make 0 in
+      for _ = 1 to n do
+        Pool.submit pool (fun () ->
+            Atomic.incr started;
+            while not (Atomic.get release) do
+              Thread.delay 0.001
+            done)
+      done;
+      let expect = min n size in
+      await "the blocked jobs to start" (fun () -> Atomic.get started = expect);
+      Alcotest.(check int)
+        (Printf.sprintf "%d blocked jobs on a pool of %d" n size)
+        expect (live_workers pool);
+      Alcotest.(check int) "the rest wait in the queue" (n - expect)
+        (Pool.pending pool);
+      Atomic.set release true;
+      await "every job" (fun () -> jobs_done pool = n);
+      Pool.shutdown pool)
+    [ (2, 3); (3, 3); (5, 3) ]
+
+let test_pool_submit_after_shutdown () =
+  let pool = Pool.create ~size:2 () in
+  Pool.submit pool (fun () -> ());
+  await "the job" (fun () -> jobs_done pool = 1);
+  Pool.shutdown pool;
+  match Pool.submit pool (fun () -> ()) with
+  | () -> Alcotest.fail "submit accepted a job after shutdown"
+  | exception Invalid_argument _ -> ()
 
 (* --- the daemon, end to end --- *)
 
@@ -441,7 +449,6 @@ let with_server ?(workers = 2) ?(queue_limit = 4) ?(cache = 8)
       queue_limit;
       cache_capacity = cache;
       job_timeout_ms = timeout_ms;
-      max_retries = 1;
       store_dir;
       store_max_bytes = 16 * 1024 * 1024;
     }
@@ -459,6 +466,18 @@ let submit_ok c spec =
     (cached, coalesced, outcome)
   | Ok _ -> Alcotest.fail "expected a plan reply"
   | Error m -> Alcotest.fail m
+
+(* An integer field of the in-process stats snapshot, by path. *)
+let jint_stats srv path =
+  match Server.handle srv Protocol.Stats with
+  | Protocol.Stats_reply j -> (
+    let field =
+      List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some j) path
+    in
+    match Option.bind field Json.to_int with
+    | Some i -> i
+    | None -> Alcotest.failf "stats field %s" (String.concat "." path))
+  | _ -> Alcotest.fail "expected a stats reply"
 
 let test_server_plan_and_cache () =
   with_server @@ fun path _srv ->
@@ -564,6 +583,68 @@ let test_server_timeout () =
    | Error m -> Alcotest.fail m);
   Thread.join burner
 
+(* A long burn holds one of two workers; cold plans of a few distinct
+   specs must take the other, idle worker and all finish while the burn
+   still runs — no job waits behind a busy worker while another idles,
+   whatever its digest. *)
+let test_server_cold_beside_burn () =
+  with_server ~workers:2 ~queue_limit:8 @@ fun path srv ->
+  let burn_done = Atomic.make false in
+  let burner =
+    Thread.create
+      (fun () ->
+        ignore
+          (Client.with_client path @@ fun c ->
+           Client.request c (Protocol.Burn { ms = 2_000 }));
+        Atomic.set burn_done true)
+      ()
+  in
+  await "the burn to start" (fun () ->
+      jint_stats srv [ "queue"; "in_flight" ] = 1
+      && jint_stats srv [ "queue"; "pending" ] = 0);
+  (Client.with_client path @@ fun c ->
+   List.iter
+     (fun name ->
+       let cached, _, _ = submit_ok c (spec_of name) in
+       Alcotest.(check bool) (name ^ " was planned") false cached)
+     [ "pcr"; "ivd"; "proteinsplit"; "synthetic1" ]);
+  Alcotest.(check bool) "every cold plan finished before the burn" false
+    (Atomic.get burn_done);
+  Thread.join burner
+
+(* Two workers, four slots, three burns in flight: a cold submit takes
+   the fourth slot whatever its digest — the bound is the configured
+   [queue_limit], not a per-worker share of it. *)
+let test_server_admission_any_digest () =
+  with_server ~workers:2 ~queue_limit:4 @@ fun path srv ->
+  List.iter
+    (fun name ->
+      let burners =
+        List.init 3 (fun _ ->
+            Thread.create
+              (fun () ->
+                Client.with_client path @@ fun c ->
+                ignore (Client.request c (Protocol.Burn { ms = 400 })))
+              ())
+      in
+      await "three burns in flight" (fun () ->
+          jint_stats srv [ "queue"; "in_flight" ] = 3);
+      (Client.with_client path @@ fun c ->
+       match
+         Client.request c
+           (Protocol.Submit { spec = spec_of name; no_cache = false })
+       with
+       | Ok (Protocol.Plan { cached = false; _ }) -> ()
+       | Ok r ->
+         Alcotest.failf "%s: expected a planned reply, got %s" name
+           (Json.to_string (Protocol.reply_to_json r))
+       | Error m -> Alcotest.fail m);
+      List.iter Thread.join burners;
+      await "the queue to drain" (fun () ->
+          jint_stats srv [ "queue"; "in_flight" ] = 0))
+    [ "pcr"; "ivd"; "proteinsplit"; "synthetic1" ];
+  Alcotest.(check int) "nothing shed" 0 (jint_stats srv [ "queue"; "shed" ])
+
 let test_server_loadgen () =
   with_server ~workers:2 ~queue_limit:64 @@ fun path _srv ->
   let specs = [ spec_of "pcr"; spec_of "ivd" ] in
@@ -650,23 +731,28 @@ let test_server_loadgen_no_cache () =
   Alcotest.(check int) "no errors" 0 s.Loadgen.errors
 
 (* The stats endpoint under live load: whatever the snapshot caught
-   mid-flight, every total must equal the field-wise sum of the
-   per-shard rows it was reported with. *)
+   mid-flight, the one admission window stays inside its configured
+   bound and the cache inside its capacity; once the drivers stop, the
+   tallies account for every request they sent. *)
 let test_server_stats_consistency () =
   with_server ~workers:2 ~queue_limit:64 ~cache:8 @@ fun path srv ->
   let stop = Atomic.make false in
+  let sent = Atomic.make 0 and looked_up = Atomic.make 0 in
   let driver k =
     Client.with_client path @@ fun c ->
     let specs = [| spec_of "pcr"; spec_of "ivd"; spec_of "proteinsplit" |] in
     let i = ref k in
     while not (Atomic.get stop) do
+      let no_cache = !i mod 5 = 0 in
       (match
          Client.request c
-           (Protocol.Submit
-              { spec = specs.(!i mod 3); no_cache = !i mod 5 = 0 })
+           (Protocol.Submit { spec = specs.(!i mod 3); no_cache })
        with
-      | Ok _ -> ()
+      | Ok (Protocol.Plan _) -> ()
+      | Ok r -> failwith (Json.to_string (Protocol.reply_to_json r))
       | Error m -> failwith m);
+      Atomic.incr sent;
+      if not no_cache then Atomic.incr looked_up;
       incr i
     done
   in
@@ -682,64 +768,53 @@ let test_server_stats_consistency () =
     | None -> Alcotest.failf "stats field %S is not an int" k
   in
   let check_snapshot s =
-    let shards =
-      match Json.to_list (jget s "shards") with
-      | Some l -> l
-      | None -> Alcotest.fail "shards is not an array"
-    in
-    Alcotest.(check int) "one row per worker" 2 (List.length shards);
-    let sum f = List.fold_left (fun acc sh -> acc + f sh) 0 shards in
+    Alcotest.(check bool) "no per-shard rows" true (Json.member "shards" s = None);
     let queue = jget s "queue" in
-    Alcotest.(check int) "in_flight = sum of shards"
-      (sum (fun sh -> jint sh "in_flight"))
-      (jint queue "in_flight");
-    Alcotest.(check int) "shed = sum of shards"
-      (sum (fun sh -> jint sh "shed"))
-      (jint queue "shed");
-    Alcotest.(check int) "depth_peak = max over shards"
-      (List.fold_left (fun acc sh -> max acc (jint sh "depth_peak")) 0 shards)
-      (jint queue "depth_peak");
-    let requests = jget s "requests" in
-    List.iter
-      (fun k ->
-        Alcotest.(check int)
-          (Printf.sprintf "requests.%s = sum of shards" k)
-          (sum (fun sh -> jint sh k))
-          (jint requests k))
-      [ "submitted"; "completed"; "coalesced"; "timeouts"; "errors"; "burns" ];
+    Alcotest.(check int) "limit is the configured queue_limit" 64
+      (jint queue "limit");
+    Alcotest.(check bool) "in_flight within the peak and the limit" true
+      (jint queue "in_flight" <= jint queue "depth_peak"
+      && jint queue "depth_peak" <= 64);
     let cache = jget s "cache" in
-    List.iter
-      (fun k ->
-        Alcotest.(check int)
-          (Printf.sprintf "cache.%s = sum of shards" k)
-          (sum (fun sh -> jint (jget sh "cache") k))
-          (jint cache k))
-      [ "hits"; "misses"; "evictions"; "length" ]
+    Alcotest.(check int) "cache capacity as configured" 8
+      (jint cache "capacity");
+    Alcotest.(check bool) "cache within its capacity" true
+      (jint cache "length" <= 8);
+    let requests = jget s "requests" in
+    Alcotest.(check bool) "lookups and jobs never exceed submits" true
+      (jint cache "hits" + jint cache "misses" <= jint requests "submitted"
+      && jint requests "completed" <= jint requests "submitted")
+  in
+  let stats () =
+    match Server.handle srv Protocol.Stats with
+    | Protocol.Stats_reply s -> s
+    | _ -> Alcotest.fail "expected a stats reply"
   in
   Fun.protect
     ~finally:(fun () ->
       Atomic.set stop true;
       List.iter Thread.join drivers)
     (fun () ->
-      (* Several snapshots while the drivers are mid-request: totals
-         and shard rows must agree in every one of them. *)
       for _ = 1 to 5 do
         Thread.delay 0.05;
-        match Server.handle srv Protocol.Stats with
-        | Protocol.Stats_reply s -> check_snapshot s
-        | _ -> Alcotest.fail "expected a stats reply"
+        check_snapshot (stats ())
       done);
-  (* Quiescent check: every driver has its last reply, so once the
-     final job's slot release lands, nothing is in flight or queued. *)
-  Thread.delay 0.05;
-  match Server.handle srv Protocol.Stats with
-  | Protocol.Stats_reply s ->
-    check_snapshot s;
-    let queue = jget s "queue" in
-    Alcotest.(check int) "nothing in flight when idle" 0
-      (jint queue "in_flight");
-    Alcotest.(check int) "nothing queued when idle" 0 (jint queue "pending")
-  | _ -> Alcotest.fail "expected a stats reply"
+  (* Quiescent: every driver has its last reply; once the final job's
+     slot release lands, nothing is in flight or queued. *)
+  await "the queue to drain" (fun () ->
+      jint_stats srv [ "queue"; "in_flight" ] = 0);
+  let s = stats () in
+  check_snapshot s;
+  let queue = jget s "queue" and requests = jget s "requests" in
+  Alcotest.(check int) "nothing queued when idle" 0 (jint queue "pending");
+  Alcotest.(check int) "nothing shed" 0 (jint queue "shed");
+  Alcotest.(check int) "every request counted" (Atomic.get sent)
+    (jint requests "submitted");
+  Alcotest.(check int) "every cached request looked up once"
+    (Atomic.get looked_up)
+    (jint (jget s "cache") "hits" + jint (jget s "cache") "misses");
+  Alcotest.(check int) "every plan reply timed" (Atomic.get sent)
+    (jint (jget s "latency_ms") "samples")
 
 (* Warm-up requests prime the cache but never touch the recorded
    figures; the measured phase then runs fully cached. *)
@@ -833,9 +908,9 @@ let parse_exposition text =
   (samples, types)
 
 (* The metrics verb end to end: a loaded server's exposition parses,
-   carries every advertised family with the right type, and is
-   internally consistent — per-shard histogram counts sum to the merged
-   count, which equals the number of plans actually served. *)
+   carries every advertised family with the right type, and adds up —
+   the latency count equals the number of plans actually served, and
+   the worker rows sum to the planner jobs. *)
 let test_server_metrics () =
   with_server ~workers:2 @@ fun path srv ->
   Client.with_client path @@ fun c ->
@@ -872,7 +947,6 @@ let test_server_metrics () =
       ("pdw_requests_submitted_total", "counter");
       ("pdw_requests_completed_total", "counter");
       ("pdw_requests_shed_total", "counter");
-      ("pdw_shard_requests_total", "counter");
       ("pdw_queue_in_flight", "gauge");
       ("pdw_queue_limit", "gauge");
       ("pdw_cache_hits_total", "counter");
@@ -880,18 +954,24 @@ let test_server_metrics () =
       ("pdw_request_latency_ms", "histogram");
       ("pdw_queue_wait_ms", "histogram");
       ("pdw_service_ms", "histogram");
-      ("pdw_shard_request_latency_ms", "histogram");
       ("pdw_worker_jobs_done_total", "counter");
       ("pdw_worker_minor_words_total", "counter");
-      ("pdw_worker_queue_pending", "gauge");
+      ("pdw_worker_live", "gauge");
       ("pdw_reqtrace_seen_total", "counter");
     ];
   (* Request accounting: 3 submits, one served from the cache. *)
   Alcotest.(check (float 0.)) "submitted" 3.0 (get "pdw_requests_submitted_total");
   Alcotest.(check (float 0.)) "cache hits" 1.0 (get "pdw_cache_hits_total");
   Alcotest.(check (float 0.)) "uncoalesced" 0.0 (get "pdw_requests_coalesced_total");
+  Alcotest.(check (float 0.)) "one admission bound, as configured" 4.0
+    (get "pdw_queue_limit");
+  Hashtbl.iter
+    (fun series _ ->
+      if String.starts_with ~prefix:"pdw_shard_" series then
+        Alcotest.failf "per-shard series %S" series)
+    samples;
   (* Every plan reply — hit or freshly planned — recorded one latency
-     sample; the per-shard rows sum exactly to the merged family. *)
+     sample. *)
   let merged = get "pdw_request_latency_ms_count" in
   Alcotest.(check (float 0.)) "latency count = plans served" 3.0 merged;
   let sum_prefix prefix =
@@ -904,8 +984,6 @@ let test_server_metrics () =
         else acc)
       samples 0.0
   in
-  Alcotest.(check (float 0.)) "shard counts sum to the merged count" merged
-    (sum_prefix "pdw_shard_request_latency_ms_count{");
   Alcotest.(check (float 0.)) "+Inf bucket equals the count" merged
     (get "pdw_request_latency_ms_bucket{le=\"+Inf\"}");
   (* Two jobs actually ran on workers (the hit never left the front). *)
@@ -1374,7 +1452,6 @@ let with_fleet ?(shards = 2) f =
         queue_limit = 16;
         cache_capacity = 8;
         job_timeout_ms = 30_000;
-        max_retries = 1;
         store_dir = None;
         store_max_bytes = 16 * 1024 * 1024;
       }
@@ -1583,8 +1660,8 @@ let () =
         [
           Alcotest.test_case "LRU eviction and promotion" `Quick test_cache_lru;
           Alcotest.test_case "refresh in place" `Quick test_cache_refresh;
-          Alcotest.test_case "sharded, hammered by domains" `Slow
-            test_cache_sharded_stress;
+          Alcotest.test_case "one LRU, hammered by domains" `Slow
+            test_cache_concurrent_stress;
           Alcotest.test_case "two tiers: promotion and write-through" `Quick
             test_cache_tiers;
         ] );
@@ -1601,9 +1678,14 @@ let () =
         [ Alcotest.test_case "bounded slots" `Quick test_admission ] );
       ( "pool",
         [
-          Alcotest.test_case "dedicated per-worker queues" `Quick
-            test_pool_dedicated;
-          Alcotest.test_case "round-robin submit" `Quick test_pool_round_robin;
+          Alcotest.test_case "every job runs exactly once" `Quick
+            test_pool_every_job_once;
+          Alcotest.test_case "sequential submits spawn one worker" `Quick
+            test_pool_sequential_one_worker;
+          Alcotest.test_case "blocked jobs spawn min(N, size) workers" `Quick
+            test_pool_blocked_jobs_spawn;
+          Alcotest.test_case "submit after shutdown raises" `Quick
+            test_pool_submit_after_shutdown;
         ] );
       ( "daemon",
         [
@@ -1616,6 +1698,10 @@ let () =
           Alcotest.test_case "explicit shed at the limit" `Quick
             test_server_shed;
           Alcotest.test_case "per-request timeout" `Quick test_server_timeout;
+          Alcotest.test_case "cold plans run beside a long burn" `Slow
+            test_server_cold_beside_burn;
+          Alcotest.test_case "one admission bound, any digest" `Slow
+            test_server_admission_any_digest;
           Alcotest.test_case "concurrent loadgen, verified" `Slow
             test_server_loadgen;
           Alcotest.test_case "pipelined batch, ordered replies" `Quick

@@ -299,14 +299,14 @@ let all_with_motivating () =
    nothing. *)
 let shared_synths =
   lazy
-    (Pdw_wash.Domain_pool.with_pool (fun pool ->
-         Pdw_wash.Domain_pool.map pool
+    (Pdw_pool.Domain_pool.with_pool (fun pool ->
+         Pdw_pool.Domain_pool.map pool
            (fun (name, b, layout) -> (name, Synthesis.synthesize ?layout b))
            (all_with_motivating ())))
 
 let optimize_all planner =
-  Pdw_wash.Domain_pool.with_pool (fun pool ->
-      Pdw_wash.Domain_pool.map pool
+  Pdw_pool.Domain_pool.with_pool (fun pool ->
+      Pdw_pool.Domain_pool.map pool
         (fun (name, s) -> (name, planner s))
         (Lazy.force shared_synths))
 
