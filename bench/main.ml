@@ -385,7 +385,7 @@ let iso8601_now () =
     t.Unix.tm_sec
 
 let run_perf () =
-  let module J = Pdw_wash.Json_export in
+  let module J = Pdw_obs.Json in
   let now () = Unix.gettimeofday () in
   let timed f =
     let t0 = now () in
@@ -478,29 +478,29 @@ let run_perf () =
   let json =
     J.Obj
       [
-        ("schema", J.String "pathdriver-wash/bench-solver/v4");
-        ("mode", J.String "perf");
-        ("git_commit", J.String (git_commit ()));
-        ("generated_at", J.String (iso8601_now ()));
+        ("schema", J.Str "pathdriver-wash/bench-solver/v4");
+        ("mode", J.Str "perf");
+        ("git_commit", J.Str (git_commit ()));
+        ("generated_at", J.Str (iso8601_now ()));
         ("domains", J.Int pool_domains);
         ( "benchmarks",
-          J.List
+          J.Arr
             (List.map
                (fun (name, (pdw, pdw_ms), (dawo, dawo_ms)) ->
                  J.Obj
                    [
-                     ("name", J.String name);
+                     ("name", J.Str name);
                      ("pdw", J.Obj (planner_fields pdw_ms pdw));
                      ("dawo", J.Obj (planner_fields dawo_ms dawo));
                    ])
                per_bench) );
         ( "storage",
-          J.List
+          J.Arr
             (List.map
                (fun (name, holds, t_hold, (pdw, pdw_ms), (dawo, dawo_ms)) ->
                  J.Obj
                    [
-                     ("name", J.String name);
+                     ("name", J.Str name);
                      ("holds", J.Int holds);
                      ("t_hold_s", J.Int t_hold);
                      ("pdw", J.Obj (planner_fields pdw_ms pdw));
@@ -514,7 +514,7 @@ let run_perf () =
         ( "exact_ilp",
           J.Obj
             [
-              ("name", J.String "Motivating");
+              ("name", J.Str "Motivating");
               ("warm_start", J.Obj (planner_fields warm_ms warm));
               ("cold_start", J.Obj (planner_fields cold_ms cold));
             ] );
@@ -638,7 +638,7 @@ let run_serve () =
   let module Server = Pdw_service.Server in
   let module Loadgen = Pdw_service.Loadgen in
   let module Protocol = Pdw_service.Protocol in
-  let module J = Pdw_wash.Json_export in
+  let module J = Pdw_obs.Json in
   let specs =
     List.map (fun name -> Protocol.spec (Protocol.Benchmark name)) serve_benchmarks
   in
@@ -754,9 +754,9 @@ let run_serve () =
             [
               ("workers", J.Int workers);
               ("queue_depth_peak", J.Int peak);
-              ("cached", J.of_obs (Loadgen.summary_json cached));
+              ("cached", Loadgen.summary_json cached);
               ("cached_server", server_interval tel1 tel0);
-              ("planner", J.of_obs (Loadgen.summary_json planner));
+              ("planner", Loadgen.summary_json planner);
               ("planner_server", server_interval tel2 tel1);
             ] ))
   in
@@ -808,20 +808,20 @@ let run_serve () =
       | Error _ -> []
       | Ok j -> (
         match Pdw_obs.Json.member "fleet" j with
-        | Some f -> [ ("fleet", J.of_obs f) ]
+        | Some f -> [ ("fleet", f) ]
         | None -> []))
   in
   let json =
     J.Obj
       ([
-         ("schema", J.String "pathdriver-wash/bench-serve/v6");
-         ("git_commit", J.String (git_commit ()));
-         ("generated_at", J.String (iso8601_now ()));
+         ("schema", J.Str "pathdriver-wash/bench-serve/v6");
+         ("git_commit", J.Str (git_commit ()));
+         ("generated_at", J.Str (iso8601_now ()));
          ("host_cores", J.Int host_cores);
          ("tolerance", J.Float serve_tolerance);
          ( "benchmarks",
-           J.List (List.map (fun n -> J.String n) serve_benchmarks) );
-         ("runs", J.List runs);
+           J.Arr (List.map (fun n -> J.Str n) serve_benchmarks) );
+         ("runs", J.Arr runs);
        ]
       @ carried_fleet)
   in

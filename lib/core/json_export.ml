@@ -5,101 +5,15 @@ module Schedule = Pdw_synth.Schedule
 module Synthesis = Pdw_synth.Synthesis
 module Sequencing_graph = Pdw_assay.Sequencing_graph
 
-type json =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Float of float
-  | String of string
-  | List of json list
-  | Obj of (string * json) list
+open Pdw_obs.Json
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+type json = Pdw_obs.Json.t
 
-(* Shortest representation that parses back to the same float — the
-   wire protocol (lib/service) embeds these values and re-parses them
-   with [Pdw_obs.Json.parse], so printing must not lose precision.
-   Mirrors [Pdw_obs.Json]'s float printing exactly. *)
-let float_repr f =
-  let s = Printf.sprintf "%.12g" f in
-  if float_of_string s = f then s else Printf.sprintf "%.17g" f
+let to_string = Pdw_obs.Json.to_string
 
-let rec write buf = function
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f ->
-    if Float.is_integer f && Float.abs f < 1e15 then
-      Buffer.add_string buf (Printf.sprintf "%.1f" f)
-    else Buffer.add_string buf (float_repr f)
-  | String s ->
-    Buffer.add_char buf '"';
-    Buffer.add_string buf (escape s);
-    Buffer.add_char buf '"'
-  | List items ->
-    Buffer.add_char buf '[';
-    List.iteri
-      (fun i item ->
-        if i > 0 then Buffer.add_char buf ',';
-        write buf item)
-      items;
-    Buffer.add_char buf ']'
-  | Obj fields ->
-    Buffer.add_char buf '{';
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (escape k);
-        Buffer.add_string buf "\":";
-        write buf v)
-      fields;
-    Buffer.add_char buf '}'
+let coord (c : Coord.t) = Arr [ Int c.Coord.x; Int c.Coord.y ]
 
-let to_string j =
-  let buf = Buffer.create 1024 in
-  write buf j;
-  Buffer.contents buf
-
-(* Conversions to/from the shared observability JSON value, so service
-   replies can embed exported outcomes and round-trip tests can compare
-   [Pdw_obs.Json.parse (to_string j)] against [to_obs j]. *)
-let rec to_obs = function
-  | Null -> Pdw_obs.Json.Null
-  | Bool b -> Pdw_obs.Json.Bool b
-  | Int i -> Pdw_obs.Json.Int i
-  | Float f -> Pdw_obs.Json.Float f
-  | String s -> Pdw_obs.Json.Str s
-  | List l -> Pdw_obs.Json.Arr (List.map to_obs l)
-  | Obj fields -> Pdw_obs.Json.Obj (List.map (fun (k, v) -> (k, to_obs v)) fields)
-
-let rec of_obs = function
-  | Pdw_obs.Json.Null -> Null
-  | Pdw_obs.Json.Bool b -> Bool b
-  | Pdw_obs.Json.Int i -> Int i
-  | Pdw_obs.Json.Float f -> Float f
-  | Pdw_obs.Json.Str s -> String s
-  | Pdw_obs.Json.Arr l -> List (List.map of_obs l)
-  | Pdw_obs.Json.Obj fields ->
-    Obj (List.map (fun (k, v) -> (k, of_obs v)) fields)
-
-let coord (c : Coord.t) = List [ Int c.Coord.x; Int c.Coord.y ]
-
-let cells_of_path path = List (List.map coord (Gpath.cells path))
+let cells_of_path path = Arr (List.map coord (Gpath.cells path))
 
 let metrics (m : Metrics.t) =
   Obj
@@ -127,7 +41,7 @@ let entry = function
   | Schedule.Op_run { op_id; device_id; start; finish } ->
     Obj
       [
-        ("kind", String "operation");
+        ("kind", Str "operation");
         ("op", Int (op_id + 1));
         ("device", Int device_id);
         ("start_s", Int start);
@@ -138,33 +52,33 @@ let entry = function
       match task.Task.purpose with
       | Task.Wash { targets; merged_removals } ->
         [
-          ("targets", List (List.map coord (Coord.Set.elements targets)));
-          ("merged_removals", List (List.map (fun i -> Int i) merged_removals));
+          ("targets", Arr (List.map coord (Coord.Set.elements targets)));
+          ("merged_removals", Arr (List.map (fun i -> Int i) merged_removals));
         ]
       | Task.Transport { fluid; dst_op; _ } ->
         [
-          ("fluid", String (Pdw_biochip.Fluid.to_string fluid));
+          ("fluid", Str (Pdw_biochip.Fluid.to_string fluid));
           ("for_op", Int (dst_op + 1));
         ]
       | Task.Removal { fluid; dst_op; _ } ->
         [
-          ("fluid", String (Pdw_biochip.Fluid.to_string fluid));
+          ("fluid", Str (Pdw_biochip.Fluid.to_string fluid));
           ("for_op", Int (dst_op + 1));
         ]
       | Task.Disposal { fluid; src_op } ->
         [
-          ("fluid", String (Pdw_biochip.Fluid.to_string fluid));
+          ("fluid", Str (Pdw_biochip.Fluid.to_string fluid));
           ("of_op", Int (src_op + 1));
         ]
       | Task.Park { fluid; src_op; cell } ->
         [
-          ("fluid", String (Pdw_biochip.Fluid.to_string fluid));
+          ("fluid", Str (Pdw_biochip.Fluid.to_string fluid));
           ("of_op", Int (src_op + 1));
           ("storage_cell", coord cell);
         ]
       | Task.Fetch { fluid; src_op; dst_op; park } ->
         [
-          ("fluid", String (Pdw_biochip.Fluid.to_string fluid));
+          ("fluid", Str (Pdw_biochip.Fluid.to_string fluid));
           ("of_op", Int (src_op + 1));
           ("for_op", Int (dst_op + 1));
           ("park", Int park);
@@ -172,7 +86,7 @@ let entry = function
     in
     Obj
       ([
-         ("kind", String (task_kind task));
+         ("kind", Str (task_kind task));
          ("task", Int task.Task.id);
          ("start_s", Int start);
          ("finish_s", Int finish);
@@ -183,10 +97,10 @@ let entry = function
 let schedule s =
   Obj
     [
-      ("assay", String (Sequencing_graph.name (Schedule.graph s)));
+      ("assay", Str (Sequencing_graph.name (Schedule.graph s)));
       ("assay_completion_s", Int (Schedule.assay_completion s));
       ("makespan_s", Int (Schedule.makespan s));
-      ("entries", List (List.map entry (Schedule.entries s)));
+      ("entries", Arr (List.map entry (Schedule.entries s)));
     ]
 
 let outcome (o : Wash_plan.outcome) =
@@ -195,13 +109,13 @@ let outcome (o : Wash_plan.outcome) =
   in
   Obj
     [
-      ("assay", String (Sequencing_graph.name graph));
+      ("assay", Str (Sequencing_graph.name graph));
       ("num_ops", Int (Sequencing_graph.num_ops graph));
       ("num_edges", Int (Sequencing_graph.num_edges graph));
       ("converged", Bool o.Wash_plan.converged);
       ("rounds", Int o.Wash_plan.rounds);
       ( "demands_per_round",
-        List (List.map (fun d -> Int d) o.Wash_plan.demand_history) );
+        Arr (List.map (fun d -> Int d) o.Wash_plan.demand_history) );
       ("metrics", metrics o.Wash_plan.metrics);
       ( "baseline_completion_s",
         Int (Schedule.assay_completion o.Wash_plan.baseline) );

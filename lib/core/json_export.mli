@@ -1,29 +1,15 @@
 (** JSON export of optimization results, for downstream tooling
-    (dashboards, chip drivers, regression tracking).  Self-contained
-    writer — no external JSON dependency. *)
+    (dashboards, chip drivers, regression tracking), in the shared
+    [Pdw_obs.Json] value and printer. *)
 
-(** A minimal JSON value. *)
-type json =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Float of float
-  | String of string
-  | List of json list
-  | Obj of (string * json) list
+type json = Pdw_obs.Json.t
 
-(** Serialize with proper string escaping (control characters
-    U+0000–U+001F emitted as [\uXXXX]); objects keep field order.
-    Floats print in the shortest form that parses back to the same
-    value, so [Pdw_obs.Json.parse (to_string j)] recovers [to_obs j]
-    exactly — the property the service wire protocol depends on. *)
+(** [Pdw_obs.Json.to_string]: control characters U+0000–U+001F leave as
+    [\uXXXX], objects keep field order, and floats print in the
+    shortest form that parses back to the same value, so
+    [Pdw_obs.Json.parse (to_string j)] recovers [j] — the property the
+    service wire protocol depends on. *)
 val to_string : json -> string
-
-(** Convert to the shared observability JSON value ([Pdw_obs.Json.t]). *)
-val to_obs : json -> Pdw_obs.Json.t
-
-(** Inverse of [to_obs]. *)
-val of_obs : Pdw_obs.Json.t -> json
 
 val metrics : Metrics.t -> json
 

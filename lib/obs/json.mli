@@ -1,12 +1,12 @@
 (** A minimal self-contained JSON value with a printer and a parser.
 
-    [pdw_obs] sits below every other library, so observability sinks
-    that need to read JSON back — the event ledger of [Events], the
-    bench [compare] gate that diffs two [BENCH_solver.json] snapshots,
-    the [explain] CLI loading a ledger file — share this one
-    implementation instead of each carrying its own.  Integers are kept
-    apart from floats so sequence numbers and counts survive a
-    round-trip textually unchanged. *)
+    [pdw_obs] sits below every other library, so every JSON the
+    repository reads or writes goes through this one codec: the event
+    ledger of [Events], the Chrome trace of [Trace_export], the
+    planner's [Json_export], the bench [compare] gate that diffs two
+    [BENCH_solver.json] snapshots, and every frame of the planning
+    service.  Integers are kept apart from floats so sequence numbers
+    and counts survive a round-trip textually unchanged. *)
 
 type t =
   | Null
@@ -25,8 +25,20 @@ val to_string : t -> string
 
 (** Parse one JSON document.  A numeric literal without ['.'], ['e'] or
     ['E'] that fits in an OCaml [int] parses as [Int], anything else
-    numeric as [Float].  Trailing non-whitespace is an error. *)
+    numeric as [Float].  Trailing non-whitespace is an error.  The
+    parser is lenient where RFC 8259 is strict: it takes raw control
+    characters inside strings, and any numeric literal that
+    [int_of_string] or [float_of_string] takes (["+1"], ["01"], ["1."]). *)
 val parse : string -> (t, string) result
+
+(** [scan s i] checks that one well-formed RFC 8259 value starts at
+    offset [i] of [s], with no leading whitespace, and returns the
+    offset just past it; [-1] when no such value starts there.  It
+    builds nothing and allocates nothing.  Whatever it accepts, [parse]
+    accepts too; when the byte after the value is a delimiter
+    ([','], ['}'], [']'], whitespace or the end of [s]), [parse] reads
+    the same value over the same bytes. *)
+val scan : string -> int -> int
 
 (** [member k j] is field [k] of object [j], if any. *)
 val member : string -> t -> t option

@@ -83,15 +83,20 @@ let with_span ?(cat = "") ?(args = []) name f =
   else begin
     let stack = Domain.DLS.get stack_key in
     Domain.DLS.set stack_key (name :: stack);
-    (* [Gc.quick_stat] reads the current domain's allocation counters
-       without walking the heap, and a span runs on one domain, so the
-       deltas are this span's own allocations (children included). *)
-    let gc0 = Gc.quick_stat () in
+    (* Both counters are the calling domain's own ([Gc.quick_stat]
+       would sum every domain's), and a span runs on one domain, so the
+       deltas are this span's own allocations (children included).
+       Minor words come from [Gc.minor_words]: on OCaml 5.1
+       [Gc.counters] counts the words still in the minor heap at an
+       eighth of their number. *)
+    let minor0 = Gc.minor_words () in
+    let _, _, major0 = Gc.counters () in
     let t0 = now () in
     Fun.protect
       ~finally:(fun () ->
         let t1 = now () in
-        let gc1 = Gc.quick_stat () in
+        let minor1 = Gc.minor_words () in
+        let _, _, major1 = Gc.counters () in
         Domain.DLS.set stack_key stack;
         if Atomic.get enabled_flag then
           record
@@ -103,8 +108,8 @@ let with_span ?(cat = "") ?(args = []) name f =
               tid = (Domain.self () :> int);
               path = List.rev (name :: stack);
               args;
-              minor_words = gc1.Gc.minor_words -. gc0.Gc.minor_words;
-              major_words = gc1.Gc.major_words -. gc0.Gc.major_words;
+              minor_words = minor1 -. minor0;
+              major_words = major1 -. major0;
             })
       f
   end

@@ -26,8 +26,10 @@ type event = {
   args : (string * string) list;  (** free-form key/value annotations *)
   minor_words : float;
       (** words allocated on the recording domain's minor heap during
-          the span (child spans included), from [Gc.quick_stat] deltas *)
-  major_words : float;  (** ditto for the major heap *)
+          the span (child spans included), from [Gc.minor_words]
+          deltas, which count that domain's allocations only *)
+  major_words : float;
+      (** ditto for the major heap, from [Gc.counters] deltas *)
 }
 
 (** Whether spans are being recorded. *)

@@ -1,69 +1,38 @@
-(* pdw_obs sits below every other library, so it carries its own
-   minimal JSON emitter rather than reusing the planner's Json_export. *)
+let micros seconds = Float.to_int (seconds *. 1e6)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let micros seconds = Int64.of_float (seconds *. 1e6)
-
-let event_json buf epoch (e : Trace.event) =
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%Ld,\"dur\":%Ld,\"pid\":1,\"tid\":%d"
-       (escape e.Trace.name)
-       (escape (if e.Trace.cat = "" then "pdw" else e.Trace.cat))
-       (micros (e.Trace.ts -. epoch))
-       (micros e.Trace.dur) e.Trace.tid);
-  (match e.Trace.args with
-  | [] -> ()
-  | args ->
-    Buffer.add_string buf ",\"args\":{";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf
-          (Printf.sprintf "\"%s\":\"%s\"" (escape k) (escape v)))
-      args;
-    Buffer.add_char buf '}');
-  Buffer.add_char buf '}'
+let event_json epoch (e : Trace.event) =
+  Json.Obj
+    ([
+       ("name", Json.Str e.Trace.name);
+       ("cat", Json.Str (if e.Trace.cat = "" then "pdw" else e.Trace.cat));
+       ("ph", Json.Str "X");
+       ("ts", Json.Int (micros (e.Trace.ts -. epoch)));
+       ("dur", Json.Int (micros e.Trace.dur));
+       ("pid", Json.Int 1);
+       ("tid", Json.Int e.Trace.tid);
+     ]
+    @
+    match e.Trace.args with
+    | [] -> []
+    | args -> [ ("args", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) args)) ])
 
 let chrome_json () =
   let epoch = Trace.epoch () in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"traceEvents\":[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char buf ',';
-      event_json buf epoch e)
-    (Trace.events ());
-  Buffer.add_string buf "],\"displayTimeUnit\":\"ms\",\"counters\":{";
-  let nonzero =
-    List.filter (fun (_, _, v) -> v <> 0) (Counters.all ())
+  let counters =
+    List.filter_map
+      (fun (name, _, v) -> if v <> 0 then Some (name, Json.Int v) else None)
+      (Counters.all ())
   in
-  List.iteri
-    (fun i (name, _, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (escape name) v))
-    nonzero;
-  Buffer.add_string buf "}";
-  if Trace.dropped () > 0 then
-    Buffer.add_string buf
-      (Printf.sprintf ",\"droppedEvents\":%d" (Trace.dropped ()));
-  Buffer.add_string buf "}";
-  Buffer.contents buf
+  Json.to_string
+    (Json.Obj
+       ([
+          ("traceEvents", Json.Arr (List.map (event_json epoch) (Trace.events ())));
+          ("displayTimeUnit", Json.Str "ms");
+          ("counters", Json.Obj counters);
+        ]
+       @
+       if Trace.dropped () > 0 then [ ("droppedEvents", Json.Int (Trace.dropped ())) ]
+       else []))
 
 let write_chrome path =
   let oc = open_out path in

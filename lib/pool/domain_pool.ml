@@ -13,14 +13,18 @@
    concurrent work never pays for a second worker. *)
 
 (* [Fanned] jobs come from [map]; [Submitted] ones from [submit], and
-   only those are counted in the worker's telemetry — a GC sample costs
-   about a microsecond, too much for the flush's many tiny jobs. *)
+   only those are counted in the worker's telemetry, which describes
+   the long-lived jobs of asynchronous callers, not the flush's many
+   tiny ones. *)
 type task = Fanned of (unit -> unit) | Submitted of (unit -> unit)
 
 (* One worker slot.  Telemetry is written by the worker itself, under
-   the pool lock: the GC word counts come from the worker's own
-   [Gc.quick_stat] — minor/major words are domain-local in OCaml 5, so
-   only the worker can read them — sampled once per submitted job. *)
+   the pool lock: the GC word counts come from [Gc.minor_words] and
+   [Gc.counters], which read the calling domain's counters only
+   ([Gc.quick_stat] sums every domain's), so only the worker can read
+   its own; they are sampled once per submitted job.  (On OCaml 5.1
+   [Gc.counters] counts the words still in the minor heap at an eighth
+   of their number, so minor words are not taken from it.) *)
 type worker = {
   mutable domain : unit Domain.t option;
   mutable jobs_done : int;
@@ -55,10 +59,10 @@ let default_size () = max 1 (min 8 (Domain.recommended_domain_count ()))
 let rec worker_loop t (w : worker) sample =
   Mutex.lock t.mutex;
   (match sample with
-  | Some (gc : Gc.stat) ->
+  | Some (minor, major) ->
     w.jobs_done <- w.jobs_done + 1;
-    w.minor_words <- gc.minor_words;
-    w.major_words <- gc.major_words
+    w.minor_words <- minor;
+    w.major_words <- major
   | None -> ());
   let rec next () =
     if t.closed then None
@@ -80,7 +84,8 @@ let rec worker_loop t (w : worker) sample =
     worker_loop t w None
   | Some (Submitted job) ->
     (try job () with _ -> ());
-    worker_loop t w (Some (Gc.quick_stat ()))
+    let _, _, major = Gc.counters () in
+    worker_loop t w (Some (Gc.minor_words (), major))
 
 (* Under [mutex]. *)
 let spawn_locked t =

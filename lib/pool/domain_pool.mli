@@ -37,10 +37,11 @@ val pending : t -> int
 
 (** One worker slot's telemetry, as sampled by the worker itself after
     each submitted job.  [minor_words]/[major_words] are the worker
-    domain's cumulative GC allocation counters ([Gc.quick_stat],
-    domain-local in OCaml 5 — only the worker can read its own), so
-    their deltas rate cleanly in a scraper.  [live] is whether the
-    slot's lazily-spawned domain exists. *)
+    domain's own cumulative GC allocation counters ([Gc.minor_words]
+    and [Gc.counters], which read only the calling domain's — so only
+    the worker can read its own), so their deltas rate cleanly in a
+    scraper.  [live] is
+    whether the slot's lazily-spawned domain exists. *)
 type worker_stats = {
   jobs_done : int;
   minor_words : float;

@@ -9,8 +9,8 @@ let connect path =
   { fd; rd = Wire.Buffered.create fd }
 
 let read_reply t =
-  match Wire.Buffered.read_json t.rd with
-  | Some j -> Protocol.reply_of_json j
+  match Wire.Buffered.read_frame t.rd with
+  | Some frame -> Protocol.reply_of_string frame
   | None -> Error "server closed the connection"
   | exception Wire.Protocol_error m -> Error m
   | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)

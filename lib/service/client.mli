@@ -9,7 +9,11 @@ val connect : string -> t
 
 (** [request t req] sends one request and reads its reply.  Transport
     and protocol failures come back as [Error] — a client never
-    raises mid-conversation. *)
+    raises mid-conversation.  The reply frame is decoded by
+    {!Protocol.reply_of_string}: a [Plan]'s outcome is the byte range
+    of the frame the server wrote, never parsed into a tree, so a cache
+    hit costs the client a frame read and a scan, not a JSON round
+    trip. *)
 val request : t -> Protocol.request -> (Protocol.reply, string) result
 
 (** [request_many t reqs] pipelines: requests leave in batched writes

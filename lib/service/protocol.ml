@@ -432,3 +432,80 @@ let reply_of_json j =
             else Result.Error "ok reply: unrecognized shape"))))))
   | Some s -> Result.Error (Printf.sprintf "unknown status %S" s)
   | None -> Result.Error "reply: missing \"status\""
+
+(* --- reading a reply frame ------------------------------------------- *)
+
+(* The offset just past [lit] when [s] holds it at offset [i], else -1. *)
+let past s i lit =
+  let len = String.length lit in
+  let rec same k =
+    k = len || (String.unsafe_get s (i + k) = String.unsafe_get lit k && same (k + 1))
+  in
+  if i >= 0 && i + len <= String.length s && same 0 then i + len else -1
+
+let flag_at s i =
+  let j = past s i "true" in
+  if j >= 0 then Some (true, j)
+  else
+    let j = past s i "false" in
+    if j >= 0 then Some (false, j) else None
+
+let tier_at s i =
+  List.find_map
+    (fun tier ->
+      let j = past s i (tier_name tier) in
+      if j >= 0 then Some (tier, j) else None)
+    [ Memory; Store; Planned ]
+
+(* A string body from [i] up to its closing quote, when it holds no
+   escape: the offset of that quote, else -1. *)
+let rec plain_end s i =
+  if i < 0 || i >= String.length s then -1
+  else
+    match String.unsafe_get s i with
+    | '"' -> i
+    | '\\' -> -1
+    | _ -> plain_end s (i + 1)
+
+(* A [Plan] frame in exactly the envelope [reply_to_string] writes,
+   read in place: the six envelope fields are matched where that
+   printer puts them, and the outcome is checked by [Json.scan] to be
+   one well-formed value running up to the frame's closing brace, then
+   cut out whole.  [None] for any other frame. *)
+let plan_of_frame s =
+  let n = String.length s in
+  let ( let* ) = Option.bind in
+  let* cached, i = flag_at s (past s 0 "{\"status\":\"ok\",\"cached\":") in
+  let* coalesced, i = flag_at s (past s i ",\"coalesced\":") in
+  let* tier, i = tier_at s (past s i ",\"tier\":\"") in
+  let d = past s i "\",\"digest\":\"" in
+  let d_end = plain_end s d in
+  let w = past s d_end "\",\"wall_ms\":" in
+  let w_end = Json.scan s w in
+  let o = past s w_end ",\"outcome\":" in
+  let o_end = Json.scan s o in
+  let* wall_ms =
+    if o_end <> n - 1 || s.[o_end] <> '}' then None
+    else
+      match Json.parse (String.sub s w (w_end - w)) with
+      | Ok v -> Json.to_float v
+      | Error _ -> None
+  in
+  Some
+    (Plan
+       {
+         cached;
+         coalesced;
+         tier;
+         digest = String.sub s d (d_end - d);
+         wall_ms;
+         outcome = String.sub s o (o_end - o);
+       })
+
+let reply_of_string s =
+  match plan_of_frame s with
+  | Some reply -> Ok reply
+  | None -> (
+    match Json.parse s with
+    | Ok j -> reply_of_json j
+    | Error m -> Result.Error ("bad JSON payload: " ^ m))

@@ -75,7 +75,10 @@ type reply =
       tier : tier;  (** where the outcome bytes came from *)
       digest : string;  (** content address of the canonical spec *)
       wall_ms : float;  (** server-side time to answer this request *)
-      outcome : string;  (** raw [Json_export] outcome text *)
+      outcome : string;
+          (** the outcome bytes exactly as the server framed them: the
+              [Json_export] text of the plan, checked once by the
+              server to be canonical JSON when it was computed *)
     }
   | Shed of { in_flight : int; limit : int }
       (** admission refused: the bounded queue is full — back off *)
@@ -126,6 +129,23 @@ val reply_to_json : reply -> Json.t
     this on every reply it frames. *)
 val reply_to_string : reply -> string
 
+(** [reply_of_string frame] decodes one reply frame; it is the inverse
+    of {!reply_to_string}.  A [Plan] frame in exactly the envelope
+    [reply_to_string] writes is read in place: its six envelope fields
+    are matched where that printer puts them, [Json.scan] checks that
+    the outcome is one well-formed value ending just before the frame's
+    closing brace, and the outcome is cut out of the frame whole,
+    without being parsed into a tree or printed again.  Every other
+    frame — error, shed, stats and hello replies, a reordered or
+    padded envelope, anything the strict scan rejects — goes through
+    [Json.parse] and {!reply_of_json}, so this accepts exactly the
+    frames that decode accepts, with the same result up to the
+    outcome's spelling, and the same error messages (prefixed
+    ["bad JSON payload: "] when the frame is not JSON). *)
+val reply_of_string : string -> (reply, string) result
+
+(** Decode a reply already parsed into a JSON value.  A [Plan]'s
+    outcome comes back as [Json.to_string] of the parsed value. *)
 val reply_of_json : Json.t -> (reply, string) result
 
 (** ["memory"] / ["store"] / ["planned"] — the wire spelling. *)

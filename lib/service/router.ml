@@ -239,13 +239,13 @@ let connect_backend t b =
           (Protocol.request_to_json
              (Protocol.Hello
                 { version = Version.version; rev = Protocol.wire_rev }));
-        Wire.Buffered.read_json rd
+        Wire.Buffered.read_frame rd
       with
       | exception Wire.Protocol_error m -> fail m
       | exception Unix.Unix_error (e, _, _) -> fail (Unix.error_message e)
       | None -> fail "closed during handshake"
-      | Some j -> (
-        match Protocol.reply_of_json j with
+      | Some frame -> (
+        match Protocol.reply_of_string frame with
         | Ok (Protocol.Hello_reply { rev; _ }) when rev = Protocol.wire_rev ->
           let c =
             {
@@ -396,11 +396,8 @@ let broadcast t req =
          | Ok w -> (
            match await w with
            | `Reply r -> (
-             match Json.parse r with
-             | Ok j -> (
-               match Protocol.reply_of_json j with
-               | Ok reply -> (b, Some reply)
-               | Error _ -> (b, None))
+             match Protocol.reply_of_string r with
+             | Ok reply -> (b, Some reply)
              | Error _ -> (b, None))
            | `Lost | `Waiting -> (b, None)))
 

@@ -67,14 +67,6 @@ let write_frame fd payload =
      diagnostics, and one syscall for the common small reply. *)
   write_all fd (string_of_int (String.length payload) ^ "\n" ^ payload)
 
-let read_json fd =
-  match read_frame fd with
-  | None -> None
-  | Some payload -> (
-    match Pdw_obs.Json.parse payload with
-    | Ok j -> Some j
-    | Error m -> fail "bad JSON payload: %s" m)
-
 let write_json fd j = write_frame fd (Pdw_obs.Json.to_string j)
 
 (* --- buffered reading: many frames per syscall --------------------- *)

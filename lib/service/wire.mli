@@ -11,7 +11,11 @@
     with byte-at-a-time headers — fine for one-shot exchanges and
     tests.  The service's hot paths use {!Buffered} (drain many frames
     per [read] syscall) and {!Batch} (flush many replies per [write]
-    syscall) instead. *)
+    syscall) instead.  Framing knows nothing of the payload beyond its
+    length: the server parses requests with {!Buffered.read_json}, while
+    clients take reply frames raw from {!Buffered.read_frame} and decode
+    them with [Protocol.reply_of_string], which cuts a plan out of the
+    frame without parsing it. *)
 
 (** Raised on malformed headers, oversized frames, or truncated
     payloads. *)
@@ -27,10 +31,6 @@ val read_frame : Unix.file_descr -> string option
 
 (** [write_frame fd payload] writes the header and payload. *)
 val write_frame : Unix.file_descr -> string -> unit
-
-(** [read_json fd] reads a frame and parses it.
-    @raise Protocol_error when the payload is not valid JSON. *)
-val read_json : Unix.file_descr -> Pdw_obs.Json.t option
 
 (** [write_json fd j] frames [Pdw_obs.Json.to_string j]. *)
 val write_json : Unix.file_descr -> Pdw_obs.Json.t -> unit
@@ -50,7 +50,8 @@ module Buffered : sig
   (** Like {!val:Wire.read_frame}, serving from the buffer first. *)
   val read_frame : t -> string option
 
-  (** Like {!val:Wire.read_json}, serving from the buffer first. *)
+  (** [read_frame] and [Pdw_obs.Json.parse] of the payload.
+      @raise Protocol_error when the payload is not valid JSON. *)
   val read_json : t -> Pdw_obs.Json.t option
 
   (** [has_frame t] is [true] when the next [read_frame] cannot block:

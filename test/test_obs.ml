@@ -81,6 +81,38 @@ let test_span_args () =
       "args" [ ("round", "3") ] e.Trace.args
   | _ -> Alcotest.fail "expected one event"
 
+(* A span is charged with its own domain's allocation only: a span that
+   allocates nothing while a second domain allocates millions of words
+   records next to nothing.  The first second domain of a process costs
+   the domain that spawned it some tens of thousands of words inside the
+   runtime, once, so a first round runs unmeasured. *)
+let quiet_span_words () =
+  Trace.reset ();
+  let go = Atomic.make false and finished = Atomic.make false in
+  let other =
+    Domain.spawn (fun () ->
+        while not (Atomic.get go) do Domain.cpu_relax () done;
+        let keep = ref [] in
+        for i = 1 to 2_000_000 do
+          keep := Sys.opaque_identity [ i ]
+        done;
+        Atomic.set finished true;
+        List.length !keep)
+  in
+  Trace.with_span "quiet" (fun () ->
+      Atomic.set go true;
+      while not (Atomic.get finished) do Domain.cpu_relax () done);
+  ignore (Domain.join other);
+  match Trace.events () with
+  | [ e ] -> e.Trace.minor_words
+  | _ -> Alcotest.fail "expected one event"
+
+let test_span_words_own_domain () =
+  ignore (quiet_span_words ());
+  let words = quiet_span_words () in
+  if words >= 10_000.0 then
+    Alcotest.failf "a quiet span recorded %.0f minor words" words
+
 let test_disabled_records_nothing () =
   Trace.set_enabled false;
   Counters.set_enabled false;
@@ -427,9 +459,8 @@ let test_json_roundtrip () =
    as \uXXXX escapes and come back intact through the shared parser —
    the service wire protocol ships outcome JSON in exactly this way. *)
 let test_json_export_control_chars () =
-  let module J = Pdw_wash.Json_export in
   let s = String.init 0x20 Char.chr in
-  let printed = J.to_string (J.Obj [ ("s", J.String s) ]) in
+  let printed = Pdw_wash.Json_export.to_string (Json.Obj [ ("s", Json.Str s) ]) in
   String.iter
     (fun c ->
       Alcotest.(check bool) "no raw control byte in output" true
@@ -444,47 +475,52 @@ let test_json_export_control_chars () =
 (* The wire-protocol property: any value printed by [Json_export] parses
    back to the same value with [Pdw_obs.Json.parse].  Floats exercise
    the shortest-round-trip printer; strings exercise escaping. *)
-let json_gen : Pdw_obs.Json.t QCheck2.Gen.t =
-  let open QCheck2.Gen in
-  let finite_float =
-    map
-      (fun f -> if Float.is_nan f || Float.abs f = Float.infinity then 0.5 else f)
-      float
-  in
-  let scalar =
-    oneof
-      [
-        return Json.Null;
-        map (fun b -> Json.Bool b) bool;
-        map (fun i -> Json.Int i) small_signed_int;
-        map (fun f -> Json.Float f) finite_float;
-        map (fun s -> Json.Str s) (string_size ~gen:char (0 -- 12));
-      ]
-  in
-  sized @@ fix (fun self n ->
-      if n <= 0 then scalar
-      else
-        frequency
-          [
-            (3, scalar);
-            (1, map (fun l -> Json.Arr l) (list_size (0 -- 4) (self (n / 2))));
-            ( 1,
-              map
-                (fun kvs -> Json.Obj kvs)
-                (list_size (0 -- 4)
-                   (pair (string_size ~gen:printable (0 -- 8)) (self (n / 2))))
-            );
-          ])
-
 let prop_json_export_roundtrip =
   QCheck2.Test.make
     ~name:"Pdw_obs.Json.parse (Json_export.to_string j) = j" ~count:500
-    json_gen
+    Json_gen.value
     (fun j ->
-      let module J = Pdw_wash.Json_export in
-      match Json.parse (J.to_string (J.of_obs j)) with
+      match Json.parse (Pdw_wash.Json_export.to_string j) with
       | Ok j' -> j' = j
       | Error _ -> false)
+
+(* The codec against the reference it replaced ([Json_oracle]): the same
+   bytes out of the printer, and the same value or the same error
+   message out of the parser, on printed values and on damaged ones. *)
+let prop_json_print_oracle =
+  QCheck2.Test.make ~name:"Json.to_string = oracle to_string" ~count:1000
+    ~print:Json_oracle.to_string Json_gen.value (fun v ->
+      String.equal (Json.to_string v) (Json_oracle.to_string v))
+
+let prop_json_parse_oracle =
+  QCheck2.Test.make ~name:"Json.parse = oracle parse" ~count:3000
+    ~print:(Printf.sprintf "%S") Json_gen.text (fun text ->
+      match (Json.parse text, Json_oracle.parse text) with
+      | Ok a, Ok b -> a = b && String.equal (Json_oracle.to_string a) (Json_oracle.to_string b)
+      | Error a, Error b -> String.equal a b
+      | Ok _, Error _ | Error _, Ok _ -> false)
+
+(* [Json.scan] accepts a subset of what [Json.parse] does: what it
+   accepts as a whole text, [parse] accepts too. *)
+let prop_json_scan_within_parse =
+  QCheck2.Test.make ~name:"Json.scan accepts only what Json.parse accepts"
+    ~count:3000 ~print:(Printf.sprintf "%S") Json_gen.text (fun text ->
+      let whole = Json.scan text 0 = String.length text in
+      (not whole) || Result.is_ok (Json.parse text))
+
+let test_json_scan_cases () =
+  List.iter
+    (fun (text, expect) ->
+      Alcotest.(check int) (Printf.sprintf "scan %S" text) expect (Json.scan text 0))
+    [
+      ("{}", 2); ("[]", 2); ("[1, 2 ,3]", 9); ("{\"a\" : [true,false,null]}", 25);
+      ("-0.5e+3,", 7); ("0", 1); ("01", 1); ("\"\\u00e9\"", 8);
+      ("+1", -1); ("1.", -1); (".5", -1); ("-", -1); ("1e", -1); ("[1,]", -1);
+      ("{\"a\"}", -1); ("\"\001\"", -1); ("\"\\x\"", -1); ("\"\\u12\"", -1);
+      ("tru", -1); ("", -1); (" 1", -1); ("\"abc", -1);
+    ];
+  Alcotest.(check int) "offset past the value" 9 (Json.scan "x:[1,[2]]}" 2);
+  Alcotest.(check int) "negative offset" (-1) (Json.scan "1" (-1))
 
 (* --- the decision ledger --- *)
 
@@ -1015,6 +1051,8 @@ let () =
           Alcotest.test_case "args" `Quick (with_obs test_span_args);
           Alcotest.test_case "disabled is a no-op" `Quick
             (with_obs test_disabled_records_nothing);
+          Alcotest.test_case "a span counts its own domain's words" `Quick
+            (with_obs test_span_words_own_domain);
         ] );
       ( "counters",
         [
@@ -1032,6 +1070,11 @@ let () =
           Alcotest.test_case "json export escapes control characters" `Quick
             (with_obs test_json_export_control_chars);
           QCheck_alcotest.to_alcotest prop_json_export_roundtrip;
+          QCheck_alcotest.to_alcotest prop_json_print_oracle;
+          QCheck_alcotest.to_alcotest prop_json_parse_oracle;
+          QCheck_alcotest.to_alcotest prop_json_scan_within_parse;
+          Alcotest.test_case "scan accepts RFC 8259 values only" `Quick
+            test_json_scan_cases;
           Alcotest.test_case "jsonl well-formed and round-trips" `Quick
             (with_obs test_events_jsonl_well_formed);
           Alcotest.test_case "every constructor round-trips" `Quick

@@ -106,21 +106,22 @@ let test_flow_path_table () =
 
 (* --- JSON export --- *)
 
-module Json = Pdw_wash.Json_export
+module Json = Pdw_obs.Json
+module Json_export = Pdw_wash.Json_export
 
 let test_json_escaping () =
   Alcotest.(check string) "string escaping"
-    "\"a\\\"b\\nc\"" (Json.to_string (Json.String "a\"b\nc"));
-  Alcotest.(check string) "null" "null" (Json.to_string Json.Null);
+    "\"a\\\"b\\nc\"" (Json_export.to_string (Json.Str "a\"b\nc"));
+  Alcotest.(check string) "null" "null" (Json_export.to_string Json.Null);
   Alcotest.(check string) "list" "[1,true]"
-    (Json.to_string (Json.List [ Json.Int 1; Json.Bool true ]));
+    (Json_export.to_string (Json.Arr [ Json.Int 1; Json.Bool true ]));
   Alcotest.(check string) "object" "{\"k\":1.0}"
-    (Json.to_string (Json.Obj [ ("k", Json.Float 1.0) ]))
+    (Json_export.to_string (Json.Obj [ ("k", Json.Float 1.0) ]))
 
 let test_json_outcome_structure () =
   let s = Synthesis.synthesize (Benchmarks.pcr ()) in
   let o = Pdw.optimize s in
-  let out = Json.to_string (Json.outcome o) in
+  let out = Json_export.to_string (Json_export.outcome o) in
   List.iter
     (fun field ->
       Alcotest.(check bool) (field ^ " present") true

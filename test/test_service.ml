@@ -273,6 +273,96 @@ let test_protocol_rejects_unknown_config () =
       (contains ~needle:"disolution" m)
   | Ok _ -> Alcotest.fail "accepted a misspelled config field"
 
+(* --- reply frames --- *)
+
+(* The decode [reply_of_string] replaces: parse the whole frame, then
+   read the reply out of the tree. *)
+let tree_decode frame =
+  match Json.parse frame with
+  | Ok j -> Protocol.reply_of_json j
+  | Error m -> Error m
+
+let plan_gen =
+  let open QCheck2.Gen in
+  let+ outcome = map Json.to_string Json_gen.obj
+  and+ cached = bool
+  and+ coalesced = bool
+  and+ tier = oneofl [ Protocol.Memory; Protocol.Store; Protocol.Planned ]
+  and+ digest =
+    oneof [ map (fun s -> Digest.to_hex (Digest.string s)) string; Json_gen.string_gen ]
+  and+ wall_ms = Json_gen.float_gen in
+  Protocol.Plan { cached; coalesced; tier; digest; wall_ms; outcome }
+
+let prop_reply_of_string_inverse =
+  QCheck2.Test.make ~name:"reply_of_string inverts reply_to_string" ~count:500
+    ~print:Protocol.reply_to_string plan_gen (fun r ->
+      let frame = Protocol.reply_to_string r in
+      Protocol.reply_of_string frame = Ok r && tree_decode frame = Ok r)
+
+(* Plan frames with one defect: anywhere, in the envelope alone, or an
+   envelope whose fields come in another order. *)
+let damaged_frame_gen =
+  let open QCheck2.Gen in
+  let* r = plan_gen in
+  let frame = Protocol.reply_to_string r in
+  let head =
+    let key = "\"outcome\":" in
+    let rec find i = if String.sub frame i (String.length key) = key then i else find (i + 1) in
+    find 0 + String.length key
+  in
+  oneof
+    [
+      Json_gen.damage frame;
+      map
+        (fun h -> h ^ String.sub frame head (String.length frame - head))
+        (Json_gen.damage (String.sub frame 0 head));
+      (match Protocol.reply_to_json r with
+      | Json.Obj fields -> map (fun fs -> Json.to_string (Json.Obj fs)) (shuffle_l fields)
+      | j -> return (Json.to_string j));
+    ]
+
+(* Plans compare with their outcome in canonical spelling: the fast
+   path hands back the outcome bytes as framed, the tree decode prints
+   the parsed outcome again. *)
+let canonical = function
+  | Ok (Protocol.Plan p) ->
+    let outcome =
+      match Json.parse p.outcome with Ok j -> Json.to_string j | Error _ -> p.outcome
+    in
+    Ok (Protocol.Plan { p with outcome })
+  | r -> r
+
+let prop_reply_of_string_damaged =
+  QCheck2.Test.make ~name:"reply_of_string errs exactly when the tree decode errs"
+    ~count:2000 ~print:(Printf.sprintf "%S") damaged_frame_gen (fun frame ->
+      match (Protocol.reply_of_string frame, tree_decode frame) with
+      | Ok _, Error _ | Error _, Ok _ -> false
+      | Error _, Error _ -> true
+      | (Ok _ as a), (Ok _ as b) -> canonical a = canonical b)
+
+let test_reply_of_string_other_replies () =
+  List.iter
+    (fun r ->
+      let frame = Protocol.reply_to_string r in
+      if Protocol.reply_of_string frame <> Ok r then
+        Alcotest.failf "%s did not round-trip" frame)
+    [
+      Protocol.Shed { in_flight = 3; limit = 4 };
+      Protocol.Timeout { after_ms = 250 };
+      Protocol.Hello_reply { version = "1.11.0"; rev = Protocol.wire_rev };
+      Protocol.Stats_reply
+        (Json.Obj [ ("cache", Json.Obj [ ("hits", Json.Int 2); ("rate", Json.Float 0.5) ]) ]);
+      Protocol.Metrics_reply "# TYPE pdw_x counter\npdw_x 1\n";
+      Protocol.Version_reply "1.11.0";
+      Protocol.Pong;
+      Protocol.Burned { ms = 5 };
+      Protocol.Bye;
+      Protocol.Error "bad \"request\"";
+    ];
+  match Protocol.reply_of_string "{\"status\":" with
+  | Error m when contains ~needle:"bad JSON payload" m -> ()
+  | _ -> Alcotest.fail "a truncated frame must fail as bad JSON"
+
 (* --- plan cache --- *)
 
 let test_cache_lru () =
@@ -424,6 +514,30 @@ let test_pool_blocked_jobs_spawn () =
       Pool.shutdown pool)
     [ (2, 3); (3, 3); (5, 3) ]
 
+(* A worker's word counts are its own domain's: an allocation-free job
+   leaves them nearly unchanged while the caller allocates millions of
+   words. *)
+let test_pool_worker_words_own_domain () =
+  let pool = Pool.create ~size:1 () in
+  Pool.submit pool (fun () -> ());
+  await "the warm-up job" (fun () -> jobs_done pool = 1);
+  let before = (Pool.worker_stats pool).(0).minor_words in
+  let go = Atomic.make false in
+  Pool.submit pool (fun () ->
+      while not (Atomic.get go) do Domain.cpu_relax () done);
+  let keep = ref [] in
+  for i = 1 to 2_000_000 do
+    keep := Sys.opaque_identity [ i ]
+  done;
+  Atomic.set go true;
+  await "the quiet job" (fun () -> jobs_done pool = 2);
+  let after = (Pool.worker_stats pool).(0).minor_words in
+  Pool.shutdown pool;
+  ignore (Sys.opaque_identity !keep);
+  if after -. before >= 100_000.0 then
+    Alcotest.failf "an allocation-free job moved its worker's count by %.0f words"
+      (after -. before)
+
 let test_pool_submit_after_shutdown () =
   let pool = Pool.create ~size:2 () in
   Pool.submit pool (fun () -> ());
@@ -495,6 +609,31 @@ let test_server_plan_and_cache () =
   (* Case-insensitive canonicalization: "PCR" hits the same entry. *)
   let cached3, _, _ = submit_ok c (spec_of "PCR") in
   Alcotest.(check bool) "canonicalized repeat hits" true cached3
+
+(* A cache hit costs the client a frame read and a few envelope fields:
+   the outcome is cut out of the frame, never parsed into a tree.  The
+   client runs on a domain of its own, so the count is its words only,
+   not the in-process server's. *)
+let test_client_hit_words () =
+  with_server @@ fun path _srv ->
+  let spec = spec_of "pcr" in
+  let hits = 20 in
+  let words =
+    Domain.join
+      (Domain.spawn (fun () ->
+           Client.with_client path @@ fun c ->
+           ignore (submit_ok c spec);
+           ignore (submit_ok c spec);
+           let w0 = Gc.minor_words () in
+           for _ = 1 to hits do
+             match Client.request c (Protocol.Submit { spec; no_cache = false }) with
+             | Ok (Protocol.Plan { cached = true; _ }) -> ()
+             | _ -> failwith "expected a cache hit"
+           done;
+           (Gc.minor_words () -. w0) /. float_of_int hits))
+  in
+  if words >= 5000.0 then
+    Alcotest.failf "a cache hit allocated %.0f minor words on the client" words
 
 let test_server_simple_ops () =
   with_server @@ fun path srv ->
@@ -1655,6 +1794,10 @@ let () =
             test_protocol_rejects_bad_park;
           Alcotest.test_case "engine applies the park set" `Quick
             test_engine_park;
+          QCheck_alcotest.to_alcotest prop_reply_of_string_inverse;
+          QCheck_alcotest.to_alcotest prop_reply_of_string_damaged;
+          Alcotest.test_case "every other reply round-trips from a string" `Quick
+            test_reply_of_string_other_replies;
         ] );
       ( "plan cache",
         [
@@ -1686,6 +1829,8 @@ let () =
             test_pool_blocked_jobs_spawn;
           Alcotest.test_case "submit after shutdown raises" `Quick
             test_pool_submit_after_shutdown;
+          Alcotest.test_case "a worker counts its own domain's words" `Quick
+            test_pool_worker_words_own_domain;
         ] );
       ( "daemon",
         [
@@ -1723,6 +1868,8 @@ let () =
           Alcotest.test_case "version handshake" `Quick test_server_hello;
           Alcotest.test_case "warm-store restart serves from disk" `Slow
             test_server_store_restart;
+          Alcotest.test_case "a cache hit allocates little on the client" `Quick
+            test_client_hit_words;
         ] );
       ( "ring",
         [
