@@ -885,60 +885,8 @@ let run_routerd socket shard_sockets =
   in
   Router.wait r
 
-let spawn_self args =
-  Unix.create_process Sys.executable_name
-    (Array.of_list (Sys.executable_name :: args))
-    Unix.stdin Unix.stdout Unix.stderr
-
-let wait_for_daemon path ~timeout_s =
-  let module Client = Pdw_service.Client in
-  let module Protocol = Pdw_service.Protocol in
-  let deadline = Unix.gettimeofday () +. timeout_s in
-  let rec go () =
-    let ok =
-      match Client.connect path with
-      | exception Unix.Unix_error _ -> false
-      | c ->
-        let r = Client.request c Protocol.Ping in
-        Client.close c;
-        r = Ok Protocol.Pong
-    in
-    if ok then true
-    else if Unix.gettimeofday () > deadline then false
-    else begin
-      Unix.sleepf 0.05;
-      go ()
-    end
-  in
-  go ()
-
-let kill_and_reap pids =
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  let rec reap pending =
-    if pending <> [] then
-      if Unix.gettimeofday () > deadline then
-        List.iter
-          (fun pid ->
-            (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-            try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-          pending
-      else begin
-        let still =
-          List.filter
-            (fun pid ->
-              match Unix.waitpid [ Unix.WNOHANG ] pid with
-              | 0, _ -> true
-              | _ -> false
-              | exception Unix.Unix_error (Unix.ECHILD, _, _) -> false)
-            pending
-        in
-        if still <> [] then Unix.sleepf 0.05;
-        reap still
-      end
-  in
-  reap pids
-
 let run_fleet () =
+  let module Proc = Pdw_service.Proc in
   let module Loadgen = Pdw_service.Loadgen in
   let module Protocol = Pdw_service.Protocol in
   let module Client = Pdw_service.Client in
@@ -962,22 +910,23 @@ let run_fleet () =
       Filename.concat base_dir (Printf.sprintf "router-%d.sock" procs)
     in
     let shard_pids =
-      List.map (fun s -> spawn_self [ "shardd"; s; store_dir ]) shard_sockets
+      List.map
+        (fun s -> Proc.spawn_self [ "shardd"; s; store_dir ])
+        shard_sockets
     in
     let router_pid = ref None in
     Fun.protect
-      ~finally:(fun () ->
-        kill_and_reap (shard_pids @ Option.to_list !router_pid))
+      ~finally:(fun () -> Proc.reap (shard_pids @ Option.to_list !router_pid))
       (fun () ->
         if
           not
             (List.for_all
-               (fun s -> wait_for_daemon s ~timeout_s:15.0)
+               (fun s -> Proc.wait_ready s ~timeout_s:15.0)
                shard_sockets)
         then failwith "fleet bench: shard daemons did not come up";
         router_pid :=
-          Some (spawn_self ([ "routerd"; router_socket ] @ shard_sockets));
-        if not (wait_for_daemon router_socket ~timeout_s:15.0) then
+          Some (Proc.spawn_self ([ "routerd"; router_socket ] @ shard_sockets));
+        if not (Proc.wait_ready router_socket ~timeout_s:15.0) then
           failwith "fleet bench: router did not come up";
         let cached =
           Loadgen.run ~socket_path:router_socket ~clients:fleet_clients

@@ -23,6 +23,7 @@ module Router = Pdw_service.Router
 module Client = Pdw_service.Client
 module Loadgen = Pdw_service.Loadgen
 module Protocol = Pdw_service.Protocol
+module Proc = Pdw_service.Proc
 
 let benchmark_names =
   [ "pcr"; "ivd"; "proteinsplit"; "kinase act-1"; "kinase act-2";
@@ -890,31 +891,7 @@ let write_pidfile path pid =
   Out_channel.with_open_text path (fun oc ->
       Printf.fprintf oc "%d\n" pid)
 
-(* Poll until the daemon behind [path] answers a ping (it unlinks and
-   rebinds its socket on start, so existence alone proves nothing). *)
-let wait_for_daemon path ~timeout_s =
-  let deadline = Unix.gettimeofday () +. timeout_s in
-  let rec go () =
-    let ok =
-      match Client.connect path with
-      | exception Unix.Unix_error _ -> false
-      | c ->
-        let r = Client.request c Protocol.Ping in
-        Client.close c;
-        r = Ok Protocol.Pong
-    in
-    if ok then true
-    else if Unix.gettimeofday () > deadline then false
-    else begin
-      Unix.sleepf 0.05;
-      go ()
-    end
-  in
-  go ()
-
-(* Spawn one shard daemon: fork/exec of this very binary running
-   [pdw serve] — never a bare fork, which is unsafe once the parent has
-   spawned domains or threads. *)
+(* Spawn one shard daemon: this very binary running [pdw serve]. *)
 let spawn_shard ~run_dir ~i ~workers ~queue_limit ~cache_size ~timeout_ms
     ~store_dir =
   let args =
@@ -924,11 +901,7 @@ let spawn_shard ~run_dir ~i ~workers ~queue_limit ~cache_size ~timeout_ms
       string_of_int timeout_ms ]
     @ match store_dir with Some d -> [ "--store"; d ] | None -> []
   in
-  let pid =
-    Unix.create_process Sys.executable_name
-      (Array.of_list (Sys.executable_name :: args))
-      Unix.stdin Unix.stdout Unix.stderr
-  in
+  let pid = Proc.spawn_self args in
   write_pidfile (shard_pidfile run_dir i) pid;
   pid
 
@@ -946,11 +919,11 @@ let cmd_fleet_start socket run_dir shards workers queue_limit cache_size
   in
   let shard_sockets = List.init shards (shard_socket run_dir) in
   let ready =
-    List.for_all (fun p -> wait_for_daemon p ~timeout_s:15.0) shard_sockets
+    List.for_all (fun p -> Proc.wait_ready p ~timeout_s:15.0) shard_sockets
   in
   if not ready then begin
     Printf.eprintf "pdw fleet: shard daemons did not come up; killing fleet\n";
-    List.iter (fun pid -> try Unix.kill pid Sys.sigkill with _ -> ()) pids;
+    Proc.reap ~grace_s:0.0 pids;
     1
   end
   else begin
@@ -962,7 +935,7 @@ let cmd_fleet_start socket run_dir shards workers queue_limit cache_size
     | exception Unix.Unix_error (e, _, arg) ->
       Printf.eprintf "pdw fleet: cannot listen on %s: %s\n" arg
         (Unix.error_message e);
-      List.iter (fun pid -> try Unix.kill pid Sys.sigkill with _ -> ()) pids;
+      Proc.reap ~grace_s:0.0 pids;
       1
     | router ->
       write_pidfile (Filename.concat run_dir "router.pid") (Unix.getpid ());
@@ -976,27 +949,7 @@ let cmd_fleet_start socket run_dir shards workers queue_limit cache_size
       (* Reap the shard daemons; a [shutdown] through the router already
          broadcast to them, so normally they are exiting — escalate to
          SIGKILL only if one wedges. *)
-      let deadline = Unix.gettimeofday () +. 10.0 in
-      let rec reap pending =
-        if pending = [] then ()
-        else if Unix.gettimeofday () > deadline then
-          List.iter (fun pid -> try Unix.kill pid Sys.sigkill with _ -> ())
-            pending
-        else begin
-          let still =
-            List.filter
-              (fun pid ->
-                match Unix.waitpid [ Unix.WNOHANG ] pid with
-                | 0, _ -> true
-                | _ -> false
-                | exception Unix.Unix_error (Unix.ECHILD, _, _) -> false)
-              pending
-          in
-          if still <> [] then Unix.sleepf 0.1;
-          reap still
-        end
-      in
-      reap pids;
+      Proc.reap pids;
       Printf.eprintf "pdw fleet: stopped\n%!";
       0
   end

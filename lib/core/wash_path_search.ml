@@ -6,16 +6,18 @@ module Router = Pdw_synth.Router
    schedule (every candidate group of a round), and re-queries the same
    groups while evaluating integration merges.  A single-slot memo keyed
    by schedule identity covers this: schedules are immutable, and each
-   planning round builds a fresh one, naturally evicting the slot. *)
-let occupancy_slot : (Schedule.t * Occupancy.t) option Atomic.t =
-  Atomic.make None
+   planning round builds a fresh one, naturally evicting the slot.  The
+   slot is domain-local, so domains planning at once never evict each
+   other's schedule. *)
+let occupancy_slot : (Schedule.t * Occupancy.t) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
 
 let occupancy_of schedule =
-  match Atomic.get occupancy_slot with
+  match Domain.DLS.get occupancy_slot with
   | Some (s, occ) when s == schedule -> occ
   | _ ->
     let occ = Occupancy.of_schedule schedule in
-    Atomic.set occupancy_slot (Some (schedule, occ));
+    Domain.DLS.set occupancy_slot (Some (schedule, occ));
     occ
 
 let busy_cells schedule ~window =
@@ -75,10 +77,10 @@ let find_uncached ~conflict_aware ~layout ~schedule
 (* Whole-search memo.  For a fixed layout and schedule, the result is a
    function of the group's window, targets and conflict awareness alone;
    integration re-evaluates the same candidate groups repeatedly while
-   deciding which removals to absorb.  One slot keyed by (layout,
-   schedule) identity, table keyed by the group's search-relevant
-   fields — target sets as sorted elements, since structurally equal
-   [Coord.Set.t] trees can hash differently. *)
+   deciding which removals to absorb.  One domain-local slot keyed by
+   (layout, schedule) identity, table keyed by the group's
+   search-relevant fields — target sets as sorted elements, since
+   structurally equal [Coord.Set.t] trees can hash differently. *)
 type find_key = int * int * bool * Coord.t list
 
 let find_slot :
@@ -86,26 +88,19 @@ let find_slot :
     * Schedule.t
     * (find_key, (Pdw_geometry.Gpath.t * int * int) option) Hashtbl.t)
     option
-    Atomic.t =
-  Atomic.make None
-
-let find_lock = Mutex.create ()
+    Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
 
 let find ?(conflict_aware = true) ~layout ~schedule
     (g : Wash_target.group) =
   Pdw_obs.Trace.with_span ~cat:"core" "wash_path.search" @@ fun () ->
   let table =
-    Mutex.lock find_lock;
-    let tbl =
-      match Atomic.get find_slot with
-      | Some (l, s, tbl) when l == layout && s == schedule -> tbl
-      | _ ->
-        let tbl = Hashtbl.create 64 in
-        Atomic.set find_slot (Some (layout, schedule, tbl));
-        tbl
-    in
-    Mutex.unlock find_lock;
-    tbl
+    match Domain.DLS.get find_slot with
+    | Some (l, s, tbl) when l == layout && s == schedule -> tbl
+    | _ ->
+      let tbl = Hashtbl.create 64 in
+      Domain.DLS.set find_slot (Some (layout, schedule, tbl));
+      tbl
   in
   let key =
     ( g.Wash_target.release,
@@ -113,17 +108,9 @@ let find ?(conflict_aware = true) ~layout ~schedule
       conflict_aware,
       Coord.Set.elements g.Wash_target.targets )
   in
-  let cached =
-    Mutex.lock find_lock;
-    let r = Hashtbl.find_opt table key in
-    Mutex.unlock find_lock;
-    r
-  in
-  match cached with
+  match Hashtbl.find_opt table key with
   | Some result -> result
   | None ->
     let result = find_uncached ~conflict_aware ~layout ~schedule g in
-    Mutex.lock find_lock;
     Hashtbl.replace table key result;
-    Mutex.unlock find_lock;
     result

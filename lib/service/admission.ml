@@ -1,8 +1,3 @@
-module Counters = Pdw_obs.Counters
-
-let c_shed = Counters.counter "service.shed"
-let g_inflight = Counters.gauge "service.queue.in_flight"
-
 type t = {
   limit : int;
   mutable in_flight : int;
@@ -19,13 +14,9 @@ let try_admit t =
   let admitted = t.in_flight < t.limit in
   if admitted then begin
     t.in_flight <- t.in_flight + 1;
-    if t.in_flight > t.peak then t.peak <- t.in_flight;
-    Counters.set_max g_inflight t.in_flight
+    if t.in_flight > t.peak then t.peak <- t.in_flight
   end
-  else begin
-    t.shed <- t.shed + 1;
-    Counters.incr c_shed
-  end;
+  else t.shed <- t.shed + 1;
   Mutex.unlock t.lock;
   admitted
 

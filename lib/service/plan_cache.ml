@@ -1,11 +1,3 @@
-module Counters = Pdw_obs.Counters
-
-let c_hits = Counters.counter "service.cache.hits"
-let c_misses = Counters.counter "service.cache.misses"
-let c_evictions = Counters.counter "service.cache.evictions"
-let c_promotions = Counters.counter "service.cache.promotions"
-let c_demotions = Counters.counter "service.cache.demotions"
-
 (* Doubly-linked LRU list threaded through a hash table.  [head] is the
    most recently used entry, [tail] the eviction candidate.  Every
    operation takes the one short [lock]. *)
@@ -78,8 +70,7 @@ let insert_locked t key value =
       | Some lru ->
         unlink t lru;
         Hashtbl.remove t.table lru.key;
-        t.evictions <- t.evictions + 1;
-        Counters.incr c_evictions
+        t.evictions <- t.evictions + 1
       | None -> ()
     end;
     let n = { key; value; prev = None; next = None } in
@@ -99,13 +90,11 @@ let find_tier t key =
     match Hashtbl.find_opt t.table key with
     | Some n ->
       t.hits <- t.hits + 1;
-      Counters.incr c_hits;
       unlink t n;
       push_front t n;
       Some n.value
     | None ->
       t.misses <- t.misses + 1;
-      Counters.incr c_misses;
       None
   in
   match memory with
@@ -116,7 +105,6 @@ let find_tier t key =
     | Some v ->
       locked t (fun () ->
           t.promotions <- t.promotions + 1;
-          Counters.incr c_promotions;
           insert_locked t key v);
       Some (v, Store))
 
@@ -132,8 +120,7 @@ let add t key value =
   | Some st ->
     Plan_store.add st key value;
     locked t (fun () ->
-        t.demotions <- t.demotions + 1;
-        Counters.incr c_demotions)
+        t.demotions <- t.demotions + 1)
 
 type stats = {
   hits : int;

@@ -3,9 +3,9 @@
     one-shot run would print.
 
     One bounded LRU behind one short lock.  [add] at capacity evicts the
-    least-recently-used entry; [find] promotes.  Hit, miss and eviction
-    counts feed both the module's own [stats] record and the
-    [Pdw_obs.Counters] table ([service.cache.*]). *)
+    least-recently-used entry; [find] promotes.  Hits, misses,
+    evictions, promotions and demotions are counted once, in the
+    [stats] record the daemon's [stats] and [metrics] verbs report. *)
 
 type t
 

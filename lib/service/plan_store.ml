@@ -1,10 +1,3 @@
-module Counters = Pdw_obs.Counters
-
-let c_hits = Counters.counter "service.store.hits"
-let c_misses = Counters.counter "service.store.misses"
-let c_writes = Counters.counter "service.store.writes"
-let c_evictions = Counters.counter "service.store.evictions"
-
 (* On-disk format: a digest-named file per plan,
 
      pdwplan1 <crc32-hex8> <payload-bytes>\n<payload>
@@ -177,7 +170,6 @@ let evict_over_budget (t : t) =
         drop t lru;
         unlink_quiet (path_of t lru.key);
         t.evictions <- t.evictions + 1;
-        Counters.incr c_evictions;
         go ()
       | None -> ()
   in
@@ -247,7 +239,6 @@ let find (t : t) digest =
       (* Touch the file so a future index rebuild sees today's recency. *)
       (try Unix.utimes path 0.0 0.0 with Unix.Unix_error _ -> ());
       t.hits <- t.hits + 1;
-      Counters.incr c_hits;
       Some payload
     | Error kind ->
       (match known with Some n -> drop t n | None -> ());
@@ -256,7 +247,6 @@ let find (t : t) digest =
         t.corrupt <- t.corrupt + 1
       end;
       t.misses <- t.misses + 1;
-      Counters.incr c_misses;
       None
 
 let add (t : t) digest payload =
@@ -296,7 +286,6 @@ let add (t : t) digest payload =
       if ok then begin
         ignore (insert t digest (file_size_of payload));
         t.writes <- t.writes + 1;
-        Counters.incr c_writes;
         evict_over_budget t
       end
 

@@ -279,6 +279,11 @@ let request_of_json j =
   | Some "shutdown" -> Ok Shutdown
   | Some op -> Result.Error (Printf.sprintf "unknown op %S" op)
 
+let request_of_string s =
+  match Json.parse s with
+  | Ok j -> request_of_json j
+  | Error m -> Result.Error ("bad JSON payload: " ^ m)
+
 let reply_to_json = function
   | Plan { cached; coalesced; tier; digest; wall_ms; outcome } ->
     let outcome_json =

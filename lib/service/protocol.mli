@@ -119,6 +119,12 @@ val request_to_json : request -> Json.t
 
 val request_of_json : Json.t -> (request, string) result
 
+(** [request_of_string frame] decodes one request frame: [Json.parse],
+    then {!request_of_json}; a frame that is not JSON errs with
+    ["bad JSON payload: "] and the parser's message, as
+    {!reply_of_string} does.  Both daemons decode requests with it. *)
+val request_of_string : string -> (request, string) result
+
 val reply_to_json : reply -> Json.t
 
 (** [reply_to_string r] is [Json.to_string (reply_to_json r)], byte for

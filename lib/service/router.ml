@@ -123,14 +123,7 @@ type t = {
   c_no_shard : int Atomic.t;
   burn_rr : int Atomic.t;
   started_at : float;
-  listen_fd : Unix.file_descr;
-  stop_r : Unix.file_descr;
-  stop_w : Unix.file_descr;
-  mutable conns : Unix.file_descr list;
-  mutable stopping : bool;
-  mutable stopped : bool;
-  lifecycle : Mutex.t;
-  lifecycle_cond : Condition.t;
+  listener : Listener.t;  (* front-end socket, connections and lifecycle *)
 }
 
 let config t = t.cfg
@@ -403,9 +396,10 @@ let broadcast t req =
 
 (* --- fleet-merged stats ---------------------------------------------- *)
 
-let up t b =
-  ignore t;
-  match b.b_state with Connected _ -> true | Down _ -> false
+let up b = match b.b_state with Connected _ -> true | Down _ -> false
+
+let live_count t =
+  Array.fold_left (fun n b -> if up b then n + 1 else n) 0 t.backends
 
 let down_reason b =
   match b.b_state with Connected _ -> None | Down m -> Some m
@@ -449,7 +443,7 @@ let stats_json t =
           ([
              ("proc", Json.Int b.b_id);
              ("socket", Json.Str b.b_path);
-             ("up", Json.Bool (up t b));
+             ("up", Json.Bool (up b));
              ("forwarded", Json.Int (Atomic.get b.b_forwarded));
            ]
           @ (match down_reason b with
@@ -480,11 +474,7 @@ let stats_json t =
         Json.Obj
           [
             ("procs_total", Json.Int (Array.length t.backends));
-            ( "procs_live",
-              Json.Int
-                (Array.fold_left
-                   (fun n b -> if up t b then n + 1 else n)
-                   0 t.backends) );
+            ("procs_live", Json.Int (live_count t));
             ("forwarded", Json.Int (Atomic.get t.c_forwarded));
             ("retries", Json.Int (Atomic.get t.c_retries));
             ("rerings", Json.Int (Atomic.get t.c_rerings));
@@ -522,10 +512,7 @@ let metrics_text t =
     [ ([], fl (Array.length t.backends)) ];
   Expo.gauge e ~name:"pdw_fleet_procs_live"
     ~help:"Shard processes currently connected"
-    [ ([],
-       fl
-         (Array.fold_left (fun n b -> if up t b then n + 1 else n) 0 t.backends))
-    ];
+    [ ([], fl (live_count t)) ];
   Expo.counter e ~name:"pdw_router_forwarded_total"
     ~help:"Frames forwarded to shard processes"
     [ ([], fl (Atomic.get t.c_forwarded)) ];
@@ -543,7 +530,7 @@ let metrics_text t =
     (Array.to_list
        (Array.map
           (fun b ->
-            ([ ("proc", string_of_int b.b_id) ], if up t b then 1.0 else 0.0))
+            ([ ("proc", string_of_int b.b_id) ], if up b then 1.0 else 0.0))
           t.backends));
   Expo.counter e ~name:"pdw_proc_forwarded_total"
     ~help:"Frames forwarded to each shard process"
@@ -623,154 +610,57 @@ let metrics_text t =
 
 (* --- the front end --------------------------------------------------- *)
 
-let handle_hello rev version =
-  if rev = Protocol.wire_rev then
-    Protocol.Hello_reply { version = Version.version; rev = Protocol.wire_rev }
-  else
-    Protocol.Error
-      (Printf.sprintf
-         "protocol rev mismatch: peer %s speaks wire rev %d, this router (%s) \
-          speaks rev %d"
-         version rev Version.version Protocol.wire_rev)
-
-let initiate_stop t =
-  Mutex.lock t.lifecycle;
-  let first = not t.stopping in
-  t.stopping <- true;
-  Mutex.unlock t.lifecycle;
-  if first then
-    try ignore (Unix.write_substring t.stop_w "x" 0 1) with _ -> ()
-
-(* Shut the whole fleet down: every live shard gets a [Shutdown] (and
-   answers [Bye] before its teardown), then the router itself stops. *)
-let shutdown_fleet t =
-  ignore (broadcast t Protocol.Shutdown);
-  initiate_stop t
-
-(* Dispatch one raw frame.  The request is parsed (requests are small
-   — the verb and, for submits, the digest preimage must be known) but
-   *forwarded as the client's own bytes*; the reply comes back as the
-   shard's own bytes.  Digest-keyed work is forwarded now and only
+(* Dispatch one request frame.  The request was parsed (requests are
+   small — the verb and, for submits, the digest preimage must be known)
+   but is *forwarded as the client's own bytes*; the reply comes back as
+   the shard's own bytes.  Digest-keyed work is forwarded now and only
    awaited at resolve time, so a pipelined batch from one client
    connection is in flight on the shards concurrently — the router adds
    a hop, not a serialization point.  The resolver returns the reply
    frame payload verbatim. *)
-let dispatch t raw : (unit -> string) * bool =
-  let local reply = ((fun () -> Protocol.reply_to_string reply), false) in
-  match Json.parse raw with
-  | Error m -> local (Protocol.Error (Printf.sprintf "bad JSON: %s" m))
-  | Ok j -> (
-    match Protocol.request_of_json j with
-    | Error m -> local (Protocol.Error m)
-    | Ok req -> (
-      match req with
-      | Protocol.Ping -> local Protocol.Pong
-      | Protocol.Version -> local (Protocol.Version_reply Version.version)
-      | Protocol.Hello { version; rev } -> local (handle_hello rev version)
-      | Protocol.Stats ->
-        ( (fun () ->
-            Protocol.reply_to_string (Protocol.Stats_reply (stats_json t))),
-          false )
-      | Protocol.Metrics ->
-        ( (fun () ->
-            Protocol.reply_to_string (Protocol.Metrics_reply (metrics_text t))),
-          false )
-      | Protocol.Shutdown ->
-        ((fun () -> Protocol.reply_to_string Protocol.Bye), true)
-      | Protocol.Burn _ -> ((fun () -> route_burn t raw), false)
-      | Protocol.Submit { spec; _ } ->
-        let digest = Protocol.digest spec in
-        (* First forward happens here (dispatch time); recovery, if the
-           shard dies before answering, happens at resolve time. *)
-        let attempt () =
-          match pick t digest ~visited:[] with
-          | None -> `NoShard
-          | Some b -> (
-            match forward_to t b raw with
-            | Error `Down -> `NoShard  (* raced a death; resolve retries *)
-            | Ok w -> `Sent (b, w, Clock.now_ms ()))
-        in
-        let first = attempt () in
-        ( (fun () ->
-            match first with
-            | `NoShard -> route t raw digest
-            | `Sent (b, w, t0) -> (
-              match await w with
-              | `Reply r ->
-                Histogram.record b.h_forward (Clock.now_ms () -. t0);
-                r
-              | `Lost | `Waiting ->
-                Atomic.incr t.c_retries;
-                route t raw digest)),
-          false )))
-
-let register_conn t fd =
-  Mutex.lock t.lifecycle;
-  t.conns <- fd :: t.conns;
-  Mutex.unlock t.lifecycle
-
-let unregister_conn t fd =
-  Mutex.lock t.lifecycle;
-  t.conns <- List.filter (fun fd' -> fd' <> fd) t.conns;
-  Mutex.unlock t.lifecycle
-
-let max_unflushed = 256 * 1024
-
-(* One thread per client connection, same shape as the shard daemon's:
-   drain every frame the last read delivered, dispatch them all (the
-   forwards overlap on the shards), then resolve in order into one
-   batched reply write. *)
-let conn_loop t fd =
-  let rd = Wire.Buffered.create fd in
-  let wr = Wire.Batch.create fd in
-  (try
-     let rec loop () =
-       match Wire.Buffered.read_frame rd with
-       | None -> Wire.Batch.flush wr
-       | Some raw ->
-         let batch = ref [ dispatch t raw ] in
-         (try
-            while Wire.Buffered.has_frame rd do
-              match Wire.Buffered.read_frame rd with
-              | Some raw' -> batch := dispatch t raw' :: !batch
-              | None -> raise Exit
-            done
-          with Exit -> ());
-         let batch = List.rev !batch in
-         let saw_shutdown = List.exists snd batch in
-         List.iter
-           (fun (resolve, _) ->
-             Wire.Batch.add_frame wr (resolve ());
-             if Wire.Batch.pending wr >= max_unflushed then
-               Wire.Batch.flush wr)
-           batch;
-         Wire.Batch.flush wr;
-         if saw_shutdown then shutdown_fleet t else loop ()
-     in
-     loop ()
-   with
-  | Wire.Protocol_error m ->
-    (try
-       Wire.Batch.add_frame wr (Protocol.reply_to_string (Protocol.Error m));
-       Wire.Batch.flush wr
-     with _ -> ())
-  | Unix.Unix_error _ | Sys_error _ -> ());
-  unregister_conn t fd;
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-let stopping t =
-  Mutex.lock t.lifecycle;
-  let s = t.stopping in
-  Mutex.unlock t.lifecycle;
-  s
+let dispatch t raw req : unit -> string =
+  let local reply () = Protocol.reply_to_string (reply ()) in
+  match req with
+  | Protocol.Ping -> local (fun () -> Protocol.Pong)
+  | Protocol.Version -> local (fun () -> Protocol.Version_reply Version.version)
+  | Protocol.Stats -> local (fun () -> Protocol.Stats_reply (stats_json t))
+  | Protocol.Metrics ->
+    local (fun () -> Protocol.Metrics_reply (metrics_text t))
+  | Protocol.Hello _ | Protocol.Shutdown ->
+    (* The listener answers these itself and never dispatches them. *)
+    local (fun () -> Protocol.Error "internal: front-end verb dispatched")
+  | Protocol.Burn _ -> fun () -> route_burn t raw
+  | Protocol.Submit { spec; _ } -> (
+    let digest = Protocol.digest spec in
+    (* First forward happens here (dispatch time); recovery, if the
+       shard dies before answering, happens at resolve time. *)
+    let first =
+      match pick t digest ~visited:[] with
+      | None -> None
+      | Some b -> (
+        match forward_to t b raw with
+        | Error `Down -> None (* raced a death; resolve retries *)
+        | Ok w -> Some (b, w, Clock.now_ms ()))
+    in
+    fun () ->
+      match first with
+      | None -> route t raw digest
+      | Some (b, w, t0) -> (
+        match await w with
+        | `Reply r ->
+          Histogram.record b.h_forward (Clock.now_ms () -. t0);
+          r
+        | `Lost | `Waiting ->
+          Atomic.incr t.c_retries;
+          route t raw digest))
 
 (* Down shards are retried forever at a gentle cadence: a shard that
    restarts (or first comes up after the router) rejoins the ring on
    its next probe, warm from the shared plan store. *)
 let reconnect_loop t =
-  while not (stopping t) do
+  while not (Listener.stopping t.listener) do
     Thread.delay (float_of_int t.cfg.reconnect_ms /. 1000.0);
-    if not (stopping t) then
+    if not (Listener.stopping t.listener) then
       Array.iter
         (fun b ->
           match b.b_state with
@@ -779,70 +669,10 @@ let reconnect_loop t =
         t.backends
   done
 
-let accept_loop t =
-  let rec loop () =
-    if not (stopping t) then begin
-      match Unix.select [ t.listen_fd; t.stop_r ] [] [] (-1.0) with
-      | readable, _, _ ->
-        if List.mem t.stop_r readable then ()
-        else begin
-          (match Unix.accept t.listen_fd with
-          | fd, _ ->
-            register_conn t fd;
-            ignore (Thread.create (conn_loop t) fd)
-          | exception
-              Unix.Unix_error
-                ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ECONNABORTED), _, _)
-            ->
-            ());
-          loop ()
-        end
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-    end
-  in
-  loop ();
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  (try Sys.remove t.cfg.socket_path with Sys_error _ -> ());
-  Mutex.lock t.lifecycle;
-  let conns = t.conns in
-  Mutex.unlock t.lifecycle;
-  List.iter
-    (fun fd ->
-      try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-    conns;
-  (* Drop the backend connections; their reader threads exit on EOF. *)
-  Array.iter (fun b -> mark_down t b "router stopping") t.backends;
-  (try Unix.close t.stop_r with Unix.Unix_error _ -> ());
-  (try Unix.close t.stop_w with Unix.Unix_error _ -> ());
-  Mutex.lock t.lifecycle;
-  t.stopped <- true;
-  Condition.broadcast t.lifecycle_cond;
-  Mutex.unlock t.lifecycle
-
 let start cfg =
   if cfg.shard_sockets = [] then
     invalid_arg "Router.start: no shard sockets";
-  if Sys.os_type = "Unix" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try
-     (try Unix.bind listen_fd (Unix.ADDR_UNIX cfg.socket_path)
-      with Unix.Unix_error (Unix.EADDRINUSE, _, _) ->
-        let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        let live =
-          match Unix.connect probe (Unix.ADDR_UNIX cfg.socket_path) with
-          | () -> true
-          | exception Unix.Unix_error (_, _, _) -> false
-        in
-        (try Unix.close probe with Unix.Unix_error _ -> ());
-        if live then
-          raise (Unix.Unix_error (Unix.EADDRINUSE, "bind", cfg.socket_path));
-        Sys.remove cfg.socket_path;
-        Unix.bind listen_fd (Unix.ADDR_UNIX cfg.socket_path));
-     Unix.listen listen_fd 64
-   with e ->
-     (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-     raise e);
-  let stop_r, stop_w = Unix.pipe () in
+  let listener = Listener.bind ~role:"router" cfg.socket_path in
   let backends =
     Array.of_list
       (List.mapi
@@ -870,32 +700,22 @@ let start cfg =
       c_no_shard = Atomic.make 0;
       burn_rr = Atomic.make 0;
       started_at = Unix.gettimeofday ();
-      listen_fd;
-      stop_r;
-      stop_w;
-      conns = [];
-      stopping = false;
-      stopped = false;
-      lifecycle = Mutex.create ();
-      lifecycle_cond = Condition.create ();
+      listener;
     }
   in
   Array.iter (fun b -> Hashtbl.replace t.by_path b.b_path b) backends;
   Array.iter (fun b -> ignore (try_connect t b)) backends;
   ignore (Thread.create reconnect_loop t);
-  ignore (Thread.create accept_loop t);
+  (* A [shutdown] stops the whole fleet: every live shard gets one (and
+     answers [Bye] before its own teardown), then the router stops.
+     Teardown drops the backend connections; their reader threads exit
+     on EOF. *)
+  Listener.serve listener ~dispatch:(dispatch t)
+    ~on_shutdown:(fun () -> ignore (broadcast t Protocol.Shutdown))
+    ~teardown:(fun () ->
+      Array.iter (fun b -> mark_down t b "router stopping") t.backends)
+    ();
   t
 
-let live_count t =
-  Array.fold_left (fun n b -> if up t b then n + 1 else n) 0 t.backends
-
-let wait t =
-  Mutex.lock t.lifecycle;
-  while not t.stopped do
-    Condition.wait t.lifecycle_cond t.lifecycle
-  done;
-  Mutex.unlock t.lifecycle
-
-let stop t =
-  initiate_stop t;
-  wait t
+let wait t = Listener.wait t.listener
+let stop t = Listener.stop t.listener

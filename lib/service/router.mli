@@ -29,6 +29,9 @@
     costs replans, never wrong or lost answers.  A reconnector thread
     probes down shards and re-rings them in when they return.
 
+    The client-facing socket is the {!Listener} a shard daemon runs too:
+    a pipelined batch is forwarded whole before any reply is awaited.
+
     [stats] and [metrics] answer for the whole fleet: per-shard
     snapshots are scraped over the same connections and merged —
     field-wise sums for the JSON tallies, {!Pdw_obs.Expo.merge} (exact
@@ -71,11 +74,14 @@ val default_config :
 
 type t
 
-(** [start config] connects to the shards (failures leave a shard
-    [down]; the reconnector keeps probing), binds the front-end socket
-    and returns immediately.
+(** [start config] binds the front-end socket ({!Listener.bind}),
+    connects to the shards (failures leave a shard [down]; the
+    reconnector keeps probing) and returns immediately.  A [shutdown]
+    frame is broadcast to every live shard once its [Bye] is flushed,
+    then the router stops.
     @raise Invalid_argument on an empty shard list.
-    @raise Unix.Unix_error when the socket cannot be bound. *)
+    @raise Unix.Unix_error when the socket cannot be bound, [EADDRINUSE]
+    when a live daemon answers on it. *)
 val start : config -> t
 
 val config : t -> config

@@ -7,10 +7,6 @@ module Reqtrace = Pdw_obs.Reqtrace
 module Expo = Pdw_obs.Expo
 module Domain_pool = Pdw_pool.Domain_pool
 
-let c_requests = Counters.counter "service.requests"
-let c_coalesced = Counters.counter "service.coalesced"
-let c_timeouts = Counters.counter "service.timeouts"
-
 type config = {
   socket_path : string;
   workers : int;
@@ -74,14 +70,7 @@ type t = {
   req_ids : int Atomic.t;  (* request ids, minted at accept *)
   ring : Reqtrace.ring;  (* recent finished submits *)
   started_at : float;
-  listen_fd : Unix.file_descr;
-  stop_r : Unix.file_descr;  (* self-pipe: [stop] wakes the accept loop *)
-  stop_w : Unix.file_descr;
-  mutable conns : Unix.file_descr list;
-  mutable stopping : bool;
-  mutable stopped : bool;
-  lifecycle : Mutex.t;
-  lifecycle_cond : Condition.t;
+  listener : Listener.t;  (* socket, connections and lifecycle *)
 }
 
 let config t = t.cfg
@@ -100,17 +89,7 @@ let with_counts t f =
 (* A private copy of the tallies, taken under their lock. *)
 let snapshot_counts t =
   Mutex.lock t.counts_lock;
-  let c = t.counts in
-  let copy =
-    {
-      submitted = c.submitted;
-      completed = c.completed;
-      coalesced = c.coalesced;
-      timeouts = c.timeouts;
-      errors = c.errors;
-      burns = c.burns;
-    }
-  in
+  let copy = { t.counts with submitted = t.counts.submitted } in
   Mutex.unlock t.counts_lock;
   copy
 
@@ -352,6 +331,16 @@ let wait_job job ~deadline_ms =
   in
   loop ()
 
+let new_job digest =
+  {
+    digest;
+    enqueued_at = now_ms ();
+    state = Running;
+    queue_ms = 0.0;
+    stage_ms = [];
+    lock = Mutex.create ();
+  }
+
 let finish_job job result =
   Mutex.lock job.lock;
   job.state <- Finished result;
@@ -427,16 +416,7 @@ let admit_submit t spec digest ~no_cache =
     | Some job -> Joined job
     | None ->
       if Admission.try_admit t.adm then begin
-        let job =
-          {
-            digest;
-            enqueued_at = now_ms ();
-            state = Running;
-            queue_ms = 0.0;
-            stage_ms = [];
-            lock = Mutex.create ();
-          }
-        in
+        let job = new_job digest in
         if not no_cache then Hashtbl.add t.jobs digest job;
         Domain_pool.submit t.pool (fun () ->
             run_plan_job t job spec ~registered:(not no_cache)
@@ -454,7 +434,6 @@ let shed_reply t =
 
 let handle_submit t spec ~no_cache =
   let t0 = now_ms () in
-  Counters.incr c_requests;
   let id = 1 + Atomic.fetch_and_add t.req_ids 1 in
   let digest = Protocol.digest spec in
   (* Every exit path notes one record in the recent-requests ring (and
@@ -493,10 +472,7 @@ let handle_submit t spec ~no_cache =
       let coalesced =
         match adm with Joined _ -> true | _ -> false
       in
-      if coalesced then begin
-        with_counts t (fun c -> c.coalesced <- c.coalesced + 1);
-        Counters.incr c_coalesced
-      end;
+      if coalesced then with_counts t (fun c -> c.coalesced <- c.coalesced + 1);
       let front_stages =
         [ ("cache", t_cache -. t0); ("admission", t_adm -. t_cache) ]
       in
@@ -505,7 +481,6 @@ let handle_submit t spec ~no_cache =
       with
       | None ->
         with_counts t (fun c -> c.timeouts <- c.timeouts + 1);
-        Counters.incr c_timeouts;
         let wall_ms = now_ms () -. t0 in
         note Reqtrace.Timeout wall_ms
           (front_stages @ [ ("wait", wall_ms -. (t_adm -. t0)) ]);
@@ -546,16 +521,7 @@ let handle_submit t spec ~no_cache =
    serve benchmark's shed scenario. *)
 let handle_burn t ~ms =
   if Admission.try_admit t.adm then begin
-    let job =
-      {
-        digest = "";
-        enqueued_at = now_ms ();
-        state = Running;
-        queue_ms = 0.0;
-        stage_ms = [];
-        lock = Mutex.create ();
-      }
-    in
+    let job = new_job "" in
     Domain_pool.submit t.pool (fun () ->
         Histogram.record t.h_queue
           (Float.max 0.0 (now_ms () -. job.enqueued_at));
@@ -577,158 +543,23 @@ let handle_burn t ~ms =
   end
   else shed_reply t
 
-(* --- lifecycle ------------------------------------------------------ *)
-
-let initiate_stop t =
-  Mutex.lock t.lifecycle;
-  let first = not t.stopping in
-  t.stopping <- true;
-  Mutex.unlock t.lifecycle;
-  if first then
-    (* Wake the accept loop via the self-pipe (closing a listening
-       socket does not reliably interrupt a blocked accept). *)
-    try ignore (Unix.write_substring t.stop_w "x" 0 1) with _ -> ()
+(* --- the socket side --------------------------------------------------- *)
 
 let handle t req =
   Trace.with_span "service.request" @@ fun () ->
   match req with
   | Protocol.Ping -> Protocol.Pong
   | Protocol.Version -> Protocol.Version_reply Version.version
-  | Protocol.Hello { version; rev } ->
-    (* The one gate that keeps a mixed-rev fleet from exchanging frames
-       neither side can decode: agree on the wire revision up front or
-       say, in a reply both revisions can parse, exactly why not. *)
-    if rev = Protocol.wire_rev then
-      Protocol.Hello_reply
-        { version = Version.version; rev = Protocol.wire_rev }
-    else
-      Protocol.Error
-        (Printf.sprintf
-           "protocol rev mismatch: peer %s speaks wire rev %d, this server \
-            (%s) speaks rev %d"
-           version rev Version.version Protocol.wire_rev)
+  | Protocol.Hello { version; rev } -> Listener.hello t.listener ~version ~rev
   | Protocol.Stats -> Protocol.Stats_reply (stats_json t)
   | Protocol.Metrics -> Protocol.Metrics_reply (metrics_text t)
   | Protocol.Shutdown ->
-    initiate_stop t;
+    Listener.request_stop t.listener;
     Protocol.Bye
   | Protocol.Burn { ms } -> handle_burn t ~ms
   | Protocol.Submit { spec; no_cache } -> handle_submit t spec ~no_cache
 
-let register_conn t fd =
-  Mutex.lock t.lifecycle;
-  t.conns <- fd :: t.conns;
-  Mutex.unlock t.lifecycle
-
-let unregister_conn t fd =
-  Mutex.lock t.lifecycle;
-  t.conns <- List.filter (fun fd' -> fd' <> fd) t.conns;
-  Mutex.unlock t.lifecycle
-
-(* Flush the reply batch before it grows past this — a client that
-   streams requests without ever reading could otherwise balloon the
-   buffer. *)
-let max_unflushed = 256 * 1024
-
-(* One reader thread per connection: drain every complete frame the
-   last [read] syscall delivered, batch the replies, and flush them in
-   one write exactly when the input buffer runs dry (the moment we
-   would block).  A pipelined client thus costs one read and one write
-   syscall per batch, not per request; worker domains never touch the
-   socket. *)
-let conn_loop t fd =
-  let rd = Wire.Buffered.create fd in
-  let wr = Wire.Batch.create fd in
-  (try
-     let rec loop () =
-       match Wire.Buffered.read_json rd with
-       | None -> Wire.Batch.flush wr
-       | Some j -> (
-         let req = Protocol.request_of_json j in
-         let reply =
-           match req with
-           (* Shutdown is sequenced here, not in [handle]: the [Bye]
-              must be on the wire before teardown closes this socket. *)
-           | Ok Protocol.Shutdown -> Protocol.Bye
-           | Ok req -> handle t req
-           | Error m -> Protocol.Error m
-         in
-         Wire.Batch.add_frame wr (Protocol.reply_to_string reply);
-         match req with
-         | Ok Protocol.Shutdown ->
-           Wire.Batch.flush wr;
-           initiate_stop t
-         | _ ->
-           if
-             Wire.Batch.pending wr >= max_unflushed
-             || not (Wire.Buffered.has_frame rd)
-           then Wire.Batch.flush wr;
-           loop ())
-     in
-     loop ()
-   with
-  | Wire.Protocol_error m ->
-    (* Tell the client what was wrong with its bytes if the pipe still
-       works, then hang up — framing is unrecoverable mid-stream. *)
-    (try
-       Wire.Batch.add_frame wr (Protocol.reply_to_string (Protocol.Error m));
-       Wire.Batch.flush wr
-     with _ -> ())
-  | Unix.Unix_error _ | Sys_error _ -> ());
-  unregister_conn t fd;
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-let accept_loop t =
-  let rec loop () =
-    let stop_now =
-      Mutex.lock t.lifecycle;
-      let s = t.stopping in
-      Mutex.unlock t.lifecycle;
-      s
-    in
-    if not stop_now then begin
-      match Unix.select [ t.listen_fd; t.stop_r ] [] [] (-1.0) with
-      | readable, _, _ ->
-        if List.mem t.stop_r readable then ()
-        else begin
-          (match Unix.accept t.listen_fd with
-          | fd, _ ->
-            register_conn t fd;
-            ignore (Thread.create (conn_loop t) fd)
-          | exception
-              Unix.Unix_error
-                ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ECONNABORTED), _, _)
-            ->
-            ());
-          loop ()
-        end
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-    end
-  in
-  loop ();
-  (* Tear down: listener first (no new work), then live connections
-     (shutdown wakes their blocked reader threads), then the worker
-     domains (running jobs finish; queued jobs die with their
-     waiters). *)
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  (try Sys.remove t.cfg.socket_path with Sys_error _ -> ());
-  Mutex.lock t.lifecycle;
-  let conns = t.conns in
-  Mutex.unlock t.lifecycle;
-  List.iter
-    (fun fd ->
-      try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-    conns;
-  Domain_pool.shutdown t.pool;
-  (try Unix.close t.stop_r with Unix.Unix_error _ -> ());
-  (try Unix.close t.stop_w with Unix.Unix_error _ -> ());
-  Mutex.lock t.lifecycle;
-  t.stopped <- true;
-  Condition.broadcast t.lifecycle_cond;
-  Mutex.unlock t.lifecycle
-
 let start cfg =
-  if Sys.os_type = "Unix" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (* The daemon is the one place counters are always worth their single
      fetch-and-add: the scrape surface exports the registry, and a
      daemon with dark internals is strictly worse than one a scraper
@@ -744,29 +575,7 @@ let start cfg =
    let want = 4 * 1024 * 1024 in
    if gc.Gc.minor_heap_size < want then
      Gc.set { gc with Gc.minor_heap_size = want });
-  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try
-     (try Unix.bind listen_fd (Unix.ADDR_UNIX cfg.socket_path)
-      with Unix.Unix_error (Unix.EADDRINUSE, _, _) ->
-        (* A stale socket file from a crashed daemon: if nobody answers
-           on it, replace it; if a live daemon does, fail loudly. *)
-        let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        let live =
-          match Unix.connect probe (Unix.ADDR_UNIX cfg.socket_path) with
-          | () -> true
-          | exception Unix.Unix_error (_, _, _) -> false
-        in
-        (try Unix.close probe with Unix.Unix_error _ -> ());
-        if live then
-          raise
-            (Unix.Unix_error (Unix.EADDRINUSE, "bind", cfg.socket_path));
-        Sys.remove cfg.socket_path;
-        Unix.bind listen_fd (Unix.ADDR_UNIX cfg.socket_path));
-     Unix.listen listen_fd 64
-   with e ->
-     (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-     raise e);
-  let stop_r, stop_w = Unix.pipe () in
+  let listener = Listener.bind ~role:"server" cfg.socket_path in
   let store =
     Option.map
       (fun dir -> Plan_store.open_ ~dir ~max_bytes:cfg.store_max_bytes ())
@@ -796,26 +605,18 @@ let start cfg =
       req_ids = Atomic.make 0;
       ring = Reqtrace.create_ring ();
       started_at = Unix.gettimeofday ();
-      listen_fd;
-      stop_r;
-      stop_w;
-      conns = [];
-      stopping = false;
-      stopped = false;
-      lifecycle = Mutex.create ();
-      lifecycle_cond = Condition.create ();
+      listener;
     }
   in
-  ignore (Thread.create accept_loop t);
+  (* Requests are answered in place; teardown stops the pool (running
+     jobs finish, queued jobs die with their waiters). *)
+  Listener.serve listener
+    ~dispatch:(fun _raw req ->
+      let s = Protocol.reply_to_string (handle t req) in
+      fun () -> s)
+    ~teardown:(fun () -> Domain_pool.shutdown t.pool)
+    ();
   t
 
-let wait t =
-  Mutex.lock t.lifecycle;
-  while not t.stopped do
-    Condition.wait t.lifecycle_cond t.lifecycle
-  done;
-  Mutex.unlock t.lifecycle
-
-let stop t =
-  initiate_stop t;
-  wait t
+let wait t = Listener.wait t.listener
+let stop t = Listener.stop t.listener

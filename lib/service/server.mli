@@ -27,12 +27,10 @@
     + a waiter that outlives [job_timeout_ms] gets a [timeout] reply;
       the job itself keeps running and still populates the cache.
 
-    Framing stays off the compute path: each connection gets a reader
-    thread that drains every complete frame a single [read] syscall
-    delivered ({!Wire.Buffered}), batches the replies, and flushes them
-    in one write when the input runs dry ({!Wire.Batch}) — pipelined
-    clients cost one syscall pair per batch.  Worker domains never
-    touch a socket.
+    The socket side is the {!Listener} the fleet {!Router} also runs:
+    its per-connection frame loop hands each request to {!handle},
+    which answers in place, and batches the replies into one write per
+    pipelined batch.  Worker domains never touch a socket.
 
     Served outcomes are byte-identical to [pdw run --json] on the same
     spec: workers run the same synthesis/optimize/serialize pipeline
@@ -61,18 +59,18 @@ val default_config : socket_path:string -> config
 
 type t
 
-(** [start config] binds the socket (replacing a stale socket file),
-    spawns the worker domains and the accept thread, and returns
-    immediately.  SIGPIPE is ignored process-wide (a client hanging up
-    mid-reply must not kill the daemon).
-    @raise Unix.Unix_error when the socket cannot be bound. *)
+(** [start config] binds the socket ({!Listener.bind}: a stale socket
+    file is replaced, SIGPIPE is ignored), starts the accept thread, and
+    returns immediately; worker domains are spawned on demand.
+    @raise Unix.Unix_error when the socket cannot be bound, [EADDRINUSE]
+    when a live daemon answers on it. *)
 val start : config -> t
 
 val config : t -> config
 
 (** Handle one request in-process, exactly as a connection would — the
-    unit-testable core of the daemon.  [Shutdown] replies [Bye] and
-    initiates [stop] asynchronously. *)
+    unit-testable core of the daemon.  [Hello] gets {!Listener.hello};
+    [Shutdown] replies [Bye] and initiates [stop] asynchronously. *)
 val handle : t -> Protocol.request -> Protocol.reply
 
 (** The [stats] payload: queue depth and limit, shed count, cache
@@ -83,8 +81,9 @@ val stats_json : t -> Pdw_obs.Json.t
 (** The scrape surface: Prometheus text exposition of every counter,
     gauge and histogram the server keeps ([pdw_*]), per-worker job and
     GC families ([pdw_worker_*{worker=…}]) and the process-global
-    {!Pdw_obs.Counters} registry.  Served for the [metrics] protocol
-    verb and [pdw stats --prometheus]. *)
+    {!Pdw_obs.Counters} registry (the planner's [synth.*], [core.*] and
+    [lp.*] counters).  Served for the [metrics] protocol verb and
+    [pdw stats --prometheus]. *)
 val metrics_text : t -> string
 
 (** Copies of the server's cumulative histograms.  [latency] is submit

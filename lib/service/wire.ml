@@ -4,52 +4,6 @@ let max_frame = 64 * 1024 * 1024
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Protocol_error m)) fmt
 
-(* Read exactly [len] bytes into a fresh string; [None] if EOF strikes
-   before the first byte, error if it strikes later. *)
-let read_exactly fd len ~eof_ok =
-  let buf = Bytes.create len in
-  let rec go off =
-    if off = len then Some (Bytes.unsafe_to_string buf)
-    else
-      match Unix.read fd buf off (len - off) with
-      | 0 ->
-        if off = 0 && eof_ok then None
-        else fail "unexpected end of stream (%d of %d bytes)" off len
-      | n -> go (off + n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-  in
-  go 0
-
-(* The header is short, so byte-at-a-time reads are fine (a frame costs
-   ~10 syscalls either way; the payload read dominates).  The hot paths
-   use [Buffered] below — this unbuffered form stays for one-shot
-   exchanges and the framing tests. *)
-let read_frame fd =
-  let byte = Bytes.create 1 in
-  let rec read_byte () =
-    match Unix.read fd byte 0 1 with
-    | 0 -> None
-    | _ -> Some (Bytes.get byte 0)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_byte ()
-  in
-  let rec header acc ndigits =
-    match read_byte () with
-    | None ->
-      if ndigits = 0 then None else fail "end of stream inside frame header"
-    | Some '\n' ->
-      if ndigits = 0 then fail "empty frame header" else Some acc
-    | Some ('0' .. '9' as c) ->
-      if ndigits >= 9 then fail "frame header too long"
-      else header ((acc * 10) + (Char.code c - Char.code '0')) (ndigits + 1)
-    | Some c -> fail "bad byte %C in frame header" c
-  in
-  match header 0 0 with
-  | None -> None
-  | Some len ->
-    if len > max_frame then fail "frame of %d bytes exceeds limit" len;
-    if len = 0 then Some ""
-    else read_exactly fd len ~eof_ok:false
-
 let write_all fd s =
   let len = String.length s in
   let rec go off =
@@ -71,11 +25,12 @@ let write_json fd j = write_frame fd (Pdw_obs.Json.to_string j)
 
 (* --- buffered reading: many frames per syscall --------------------- *)
 
-(* A pipelining client sends several frames back to back; one
-   [Unix.read] then lands them all in the buffer and [read_frame]
-   hands them out without another syscall.  [has_frame] tells the
-   server's connection loop whether it can keep processing without
-   blocking — the boundary at which it flushes its batched replies. *)
+(* The one frame reader.  A pipelining client sends several frames back
+   to back; one [Unix.read] then lands them all in the buffer and
+   [read_frame] hands them out without another syscall.  [has_frame]
+   tells the listener's frame loop whether the next frame is already
+   here — the boundary at which it stops dispatching and writes the
+   batch's replies. *)
 module Buffered = struct
   type t = {
     fd : Unix.file_descr;
@@ -161,14 +116,6 @@ module Buffered = struct
     | Some plen ->
       if plen > max_frame then fail "frame of %d bytes exceeds limit" plen;
       Some (payload t plen)
-
-  let read_json t =
-    match read_frame t with
-    | None -> None
-    | Some payload -> (
-      match Pdw_obs.Json.parse payload with
-      | Ok j -> Some j
-      | Error m -> fail "bad JSON payload: %s" m)
 
   (* Whether a complete frame already sits in the buffer — i.e. the next
      [read_frame] cannot block.  Malformed bytes count as "ready": the

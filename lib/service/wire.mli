@@ -7,14 +7,12 @@
     whitespace and lets both sides pre-size buffers; it also rejects
     oversized frames before allocating.
 
-    The plain [read_frame]/[write_frame] pair reads one frame per call
-    with byte-at-a-time headers — fine for one-shot exchanges and
-    tests.  The service's hot paths use {!Buffered} (drain many frames
-    per [read] syscall) and {!Batch} (flush many replies per [write]
-    syscall) instead.  Framing knows nothing of the payload beyond its
-    length: the server parses requests with {!Buffered.read_json}, while
-    clients take reply frames raw from {!Buffered.read_frame} and decode
-    them with [Protocol.reply_of_string], which cuts a plan out of the
+    Reading has one form, {!Buffered}: one [read] syscall lands as many
+    frames as the sender had queued.  Writing has two: {!write_frame}
+    for one frame, {!Batch} to flush many in one [write].  Framing knows
+    nothing of the payload beyond its length: the daemons decode request
+    frames with [Protocol.request_of_string] and clients decode reply
+    frames with [Protocol.reply_of_string], which cuts a plan out of the
     frame without parsing it. *)
 
 (** Raised on malformed headers, oversized frames, or truncated
@@ -23,11 +21,6 @@ exception Protocol_error of string
 
 (** Frames above this many payload bytes are rejected (64 MiB). *)
 val max_frame : int
-
-(** [read_frame fd] reads one frame; [None] on clean end-of-stream
-    (EOF before any header byte).
-    @raise Protocol_error on a malformed header or mid-frame EOF. *)
-val read_frame : Unix.file_descr -> string option
 
 (** [write_frame fd payload] writes the header and payload. *)
 val write_frame : Unix.file_descr -> string -> unit
@@ -47,17 +40,16 @@ module Buffered : sig
       reads on the same fd would lose the buffered bytes. *)
   val create : ?buf_size:int -> Unix.file_descr -> t
 
-  (** Like {!val:Wire.read_frame}, serving from the buffer first. *)
+  (** [read_frame t] reads one frame, serving from the buffer first;
+      [None] on clean end-of-stream (EOF before any header byte).
+      @raise Protocol_error on a malformed header, an oversized frame or
+      mid-frame EOF. *)
   val read_frame : t -> string option
-
-  (** [read_frame] and [Pdw_obs.Json.parse] of the payload.
-      @raise Protocol_error when the payload is not valid JSON. *)
-  val read_json : t -> Pdw_obs.Json.t option
 
   (** [has_frame t] is [true] when the next [read_frame] cannot block:
       a complete frame (or a malformed header, which fails fast) is
-      already buffered.  The server's connection loop flushes its reply
-      batch exactly when this turns [false]. *)
+      already buffered.  The listener's frame loop resolves and writes
+      its batch of replies exactly when this turns [false]. *)
   val has_frame : t -> bool
 end
 

@@ -32,12 +32,15 @@ let with_pipe f =
       try Unix.close w with Unix.Unix_error _ -> ())
     (fun () -> f r w)
 
+(* One frame through the one reader, [Wire.Buffered]. *)
+let read_one fd = Wire.Buffered.read_frame (Wire.Buffered.create fd)
+
 (* Write from a separate thread: payloads larger than the pipe buffer
    would otherwise deadlock a single-threaded write-then-read. *)
 let frame_roundtrip payload =
   with_pipe @@ fun r w ->
   let writer = Thread.create (fun () -> Wire.write_frame w payload) () in
-  let got = Wire.read_frame r in
+  let got = read_one r in
   Thread.join writer;
   match got with
   | Some got -> Alcotest.(check string) "frame round-trips" payload got
@@ -54,14 +57,14 @@ let test_wire_roundtrip () =
 let test_wire_eof () =
   with_pipe @@ fun r w ->
   Unix.close w;
-  Alcotest.(check bool) "clean EOF is None" true (Wire.read_frame r = None)
+  Alcotest.(check bool) "clean EOF is None" true (read_one r = None)
 
 let test_wire_bad_header () =
   let expect_protocol_error raw =
     with_pipe @@ fun r w ->
     ignore (Unix.write_substring w raw 0 (String.length raw));
     Unix.close w;
-    match Wire.read_frame r with
+    match read_one r with
     | exception Wire.Protocol_error _ -> ()
     | _ -> Alcotest.fail (Printf.sprintf "accepted bad header %S" raw)
   in
@@ -1740,6 +1743,126 @@ let test_router_loadgen_seeded () =
   Alcotest.(check (option int)) "summary carries the seed" (Some 7)
     s.Loadgen.seed
 
+(* --- the one front end, on both daemons --- *)
+
+let with_raw_conn path f =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () -> f fd (Wire.Buffered.create fd))
+
+let show_reply = function
+  | Ok r -> Json.to_string (Protocol.reply_to_json r)
+  | Error m -> "undecodable: " ^ m
+
+let expect_reply name rd expected =
+  let got =
+    match Wire.Buffered.read_frame rd with
+    | Some frame -> Protocol.reply_of_string frame
+    | None -> Error "end of stream"
+  in
+  if got <> Ok expected then
+    Alcotest.failf "%s: expected %s, got %s" name
+      (show_reply (Ok expected)) (show_reply got)
+
+(* A well-framed payload that is not JSON is a bad request, not bad
+   framing: it is answered and the connection reads on. *)
+let check_bad_json name path =
+  with_raw_conn path @@ fun fd rd ->
+  Wire.write_frame fd "not json {";
+  (match Wire.Buffered.read_frame rd with
+  | Some frame -> (
+    match Protocol.reply_of_string frame with
+    | Ok (Protocol.Error m) when String.starts_with ~prefix:"bad JSON payload: " m
+      ->
+      ()
+    | r -> Alcotest.failf "%s: a non-JSON payload got %s" name (show_reply r))
+  | None -> Alcotest.failf "%s hung up on a non-JSON payload" name);
+  (try Wire.write_json fd (Protocol.request_to_json Protocol.Ping)
+   with Unix.Unix_error _ ->
+     Alcotest.failf "%s hung up after answering a non-JSON payload" name);
+  expect_reply name rd Protocol.Pong
+
+let test_front_end_bad_json () =
+  with_server (fun path _ -> check_bad_json "server" path);
+  with_fleet (fun path _ _ -> check_bad_json "router" path)
+
+(* [Ping; Shutdown; Ping] in one write: the frame after the shutdown is
+   never dispatched — the replies are Pong, Bye, then end of stream. *)
+let check_shutdown_ends_batch name path wait =
+  with_raw_conn path @@ fun fd rd ->
+  let wr = Wire.Batch.create fd in
+  List.iter
+    (fun req -> Wire.Batch.add_json wr (Protocol.request_to_json req))
+    [ Protocol.Ping; Protocol.Shutdown; Protocol.Ping ];
+  Wire.Batch.flush wr;
+  expect_reply name rd Protocol.Pong;
+  expect_reply name rd Protocol.Bye;
+  (match Wire.Buffered.read_frame rd with
+  | None -> ()
+  | Some frame -> Alcotest.failf "%s answered past its Bye: %s" name frame);
+  wait ()
+
+let test_front_end_shutdown_ends_batch () =
+  with_server (fun path srv ->
+      check_shutdown_ends_batch "server" path (fun () -> Server.wait srv));
+  with_fleet (fun path router _ ->
+      check_shutdown_ends_batch "router" path (fun () -> Router.wait router))
+
+(* A framing error drops the connection, but only after the frames
+   read before it in the same batch, and the error itself, are
+   answered. *)
+let check_framing_error name path =
+  with_raw_conn path @@ fun fd rd ->
+  let ping = Json.to_string (Protocol.request_to_json Protocol.Ping) in
+  let bytes = Printf.sprintf "%d\n%sxyz\n" (String.length ping) ping in
+  ignore (Unix.write_substring fd bytes 0 (String.length bytes));
+  expect_reply name rd Protocol.Pong;
+  (match Wire.Buffered.read_frame rd with
+  | Some frame -> (
+    match Protocol.reply_of_string frame with
+    | Ok (Protocol.Error _) -> ()
+    | r -> Alcotest.failf "%s answered bad framing with %s" name (show_reply r))
+  | None -> Alcotest.failf "%s hung up without answering bad framing" name);
+  match Wire.Buffered.read_frame rd with
+  | None -> ()
+  | Some frame -> Alcotest.failf "%s read on past bad framing: %s" name frame
+
+let test_front_end_framing_error () =
+  with_server (fun path _ -> check_framing_error "server" path);
+  with_fleet (fun path _ _ -> check_framing_error "router" path)
+
+(* A socket file nobody answers on is replaced; one a live daemon
+   answers on is refused with [EADDRINUSE]. *)
+let check_bind_probe name start =
+  let path = fresh_socket () in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX path);
+  Unix.close fd;
+  let stop = start path in
+  Fun.protect ~finally:stop @@ fun () ->
+  with_raw_conn path (fun fd rd ->
+      Wire.write_json fd (Protocol.request_to_json Protocol.Ping);
+      expect_reply (name ^ " on a stale socket file") rd Protocol.Pong);
+  match start path with
+  | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) -> ()
+  | stop' ->
+    stop' ();
+    Alcotest.failf "%s started on a live daemon's socket" name
+
+let test_front_end_bind_probe () =
+  check_bind_probe "server" (fun path ->
+      let srv = Server.start (Server.default_config ~socket_path:path) in
+      fun () -> Server.stop srv);
+  with_server @@ fun shard _ ->
+  check_bind_probe "router" (fun path ->
+      let r =
+        Router.start
+          (Router.default_config ~socket_path:path ~shard_sockets:[ shard ])
+      in
+      fun () -> Router.stop r)
+
 (* --- seeded load generation is reproducible --- *)
 
 let test_loadgen_spec_indices () =
@@ -1884,6 +2007,17 @@ let () =
             test_router_end_to_end;
           Alcotest.test_case "seeded verified campaign through the fleet"
             `Slow test_router_loadgen_seeded;
+        ] );
+      ( "front end",
+        [
+          Alcotest.test_case "a non-JSON payload is answered, the connection kept"
+            `Quick test_front_end_bad_json;
+          Alcotest.test_case "no frame after a shutdown is dispatched" `Quick
+            test_front_end_shutdown_ends_batch;
+          Alcotest.test_case "frames before bad framing are answered" `Quick
+            test_front_end_framing_error;
+          Alcotest.test_case "stale socket replaced, live socket refused" `Quick
+            test_front_end_bind_probe;
         ] );
       ( "loadgen",
         [

@@ -286,6 +286,49 @@ let test_integration_merges_compatible_removal () =
         g.Wash_target.merged_removals)
     merged_groups
 
+(* The search memos are per domain.  Planning the same specs on two
+   domains at once must build exactly as many occupancy indexes and run
+   exactly as many flushes as planning them one after another; a
+   process-global slot would let the two domains evict each other's
+   schedule and redo that work. *)
+let test_memos_per_domain () =
+  let module Counters = Pdw_obs.Counters in
+  let module Protocol = Pdw_service.Protocol in
+  let names =
+    [ "PCR"; "IVD"; "ProteinSplit"; "Kinase act-1";
+      "Kinase act-2"; "Synthetic1"; "Synthetic2"; "Synthetic3";
+      "StorageShuttle"; "StorageBurst" ]
+    |> List.map (fun n -> Protocol.spec (Protocol.Benchmark n))
+  in
+  let plan_all =
+    List.iter (fun spec -> ignore (Pdw_service.Engine.plan spec))
+  in
+  let watched = [ "core.occupancy.builds"; "synth.router.flush_calls" ] in
+  let counted f =
+    let was = Counters.enabled () in
+    Counters.set_enabled true;
+    let since = Counters.snapshot () in
+    f ();
+    let moved = Counters.delta ~since in
+    Counters.set_enabled was;
+    List.map
+      (fun name ->
+        List.fold_left
+          (fun acc (n, _, v) -> if n = name then v else acc)
+          0 moved)
+      watched
+  in
+  let sequential = counted (fun () -> plan_all (names @ names)) in
+  let parallel =
+    counted (fun () ->
+        let other = Domain.spawn (fun () -> plan_all names) in
+        plan_all names;
+        Domain.join other)
+  in
+  Alcotest.(check (list int))
+    "occupancy builds and flushes: two domains = one after another"
+    sequential parallel
+
 (* --- end-to-end planners --- *)
 
 let all_with_motivating () =
@@ -845,6 +888,8 @@ let () =
             test_busy_cells_window;
           Alcotest.test_case "exact ILP (Eqs. 12-15)" `Slow
             test_ilp_path_matches_structure;
+          Alcotest.test_case "memos per domain, not per process" `Slow
+            test_memos_per_domain;
         ] );
       ( "integration",
         [
