@@ -384,6 +384,11 @@ let iso8601_now () =
     (t.Unix.tm_mon + 1) t.Unix.tm_mday t.Unix.tm_hour t.Unix.tm_min
     t.Unix.tm_sec
 
+let write_json path json =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Pdw_obs.Json.to_string json);
+      output_string oc "\n")
+
 let run_perf () =
   let module J = Pdw_obs.Json in
   let now () = Unix.gettimeofday () in
@@ -521,10 +526,7 @@ let run_perf () =
       ]
   in
   let path = "BENCH_solver.json" in
-  let oc = open_out path in
-  output_string oc (J.to_string json);
-  output_string oc "\n";
-  close_out oc;
+  write_json path json;
   Format.printf
     "perf: wrote %s (optimize wall %.1f ms, exact ILP warm %.1f ms / cold \
      %.1f ms)@."
@@ -591,475 +593,314 @@ let run_storage () =
     regressions;
   if regressions <> [] then exit 1
 
-(* Planning-service scaling curve (BENCH_serve.json): an in-process
-   daemon on a temp socket, driven by the pipelined loadgen at 1, 2, 4
-   and 8 worker domains.  Each worker setting runs TWO campaigns, each
-   with its own warm-up (excluded from every figure):
+(* --- the serving benchmark (BENCH_serve.json) ---
 
-   - the [cached] campaign — thousands of pipelined requests over the
-     three benchmark specs, all cache hits after the warm-up.  Hits
-     are served by the connection threads on the main domain, so this
-     curve measures the framing/admission front end, not the workers:
-     the only thing worker count can do to it is harm (the PR 5
-     inversion, where idle domains stretched every minor-GC pause).
-     Its gate is therefore monotonicity alone, at every setting.
+   Every campaign drives daemons spawned from this executable (the
+   hidden [daemon] and [routerd] modes, fork/exec through
+   [Proc.spawn_self]: a bare fork is unsafe once this runtime has
+   domains), so the loadgen's client threads never share a runtime with
+   the server they measure.  Each campaign gets fresh daemons, so the
+   stats read from the front socket at its end are that campaign's own,
+   and every reply is verified byte-identical to a local one-shot plan.
 
-   - the [planner] campaign — every request carries [no_cache], so
-     each one runs the full planning pipeline on whichever worker
-     domain is idle.  This is the curve on which workers
-     actually participate, so the scaling claim is gated here: within
-     [serve_tolerance] of the 1-worker baseline at every setting the
-     host can physically parallelize (workers <= host cores — beyond
-     that, extra domains oversubscribe the cores and a dip is
-     physics, not regression), and on a host with >= 4 cores, >= 2x
-     the baseline at 4 workers.
+   - The worker curve: one daemon at 1, 2, 4 and 8 worker domains, two
+     campaigns per setting.  [cached] sends thousands of pipelined
+     requests over three benchmark specs, all cache hits after the
+     warm-up.  Hits are answered by connection threads, so worker count
+     can only harm this curve (idle domains stretch every stop-the-world
+     pause); it is gated at every setting.  [planner] sends [no_cache]
+     requests, each planned on a worker domain, and is gated wherever the
+     host can run the workers in parallel (workers <= host cores).
+   - The process curve: 1, 2 and 4 daemons of two workers behind the
+     fleet router, sharing one plan store (so later campaigns start
+     store-warm), on a seeded cached campaign.
 
-   [host_cores] is recorded so readers can tell the regimes apart.
-   Every outcome in both campaigns is verified byte-identical to a
-   local one-shot run.  A separate artifact from BENCH_solver.json, so
-   the solver compare gate never sees it. *)
+   Each curve is gated against its own first point, not the previous
+   one, so per-step wobbles cannot compound into a tolerated slide; on a
+   host with >= 4 cores the planner and process curves must also reach
+   2x their first point at 4.  The cached and process campaigns run
+   [serve_rounds] times with the settings interleaved, and each of
+   their points is the campaign with the median throughput: one
+   campaign disturbed by the shared host moves no gate.  [host_cores]
+   is recorded so readers can tell the regimes apart.  A separate
+   artifact from BENCH_solver.json, so the solver compare gate never
+   sees it. *)
+
+module Loadgen = Pdw_service.Loadgen
+module Protocol = Pdw_service.Protocol
+module Client = Pdw_service.Client
+module Proc = Pdw_service.Proc
+
+type load = {
+  clients : int;
+  per_client : int;
+  warmup : int;
+  pipeline : int;
+  no_cache : bool;
+  seed : int option;
+}
+
+(* 8 x 2048 = 16,384 measured requests per campaign. *)
+let cached_load =
+  { clients = 8; per_client = 2048; warmup = 64; pipeline = 32;
+    no_cache = false; seed = None }
+
+(* 512 requests, sized so that they cannot shed: at most
+   [clients * pipeline] = 32 jobs are in flight against a queue limit
+   of 128. *)
+let planner_load =
+  { clients = 8; per_client = 64; warmup = 32; pipeline = 4;
+    no_cache = true; seed = None }
+
+(* 3 settings x 8 x 4608 = 110,592 measured requests per round. *)
+let fleet_load =
+  { clients = 8; per_client = 4608; warmup = 64; pipeline = 32;
+    no_cache = false; seed = Some 424242 }
+
 let serve_workers = [ 1; 2; 4; 8 ]
-let serve_clients = 8
-let serve_per_client = 2048
-let serve_warmup = 64
-let serve_pipeline = 32
+let fleet_procs = [ 1; 2; 4 ]
+let fleet_workers = 2
+let serve_rounds = 3
 let serve_tolerance = 0.85
 let serve_benchmarks = [ "pcr"; "ivd"; "proteinsplit" ]
 
-(* The planner campaign is sized so that it cannot shed: at most
-   [clients * pipeline] = 32 jobs are in flight against a queue limit
-   of 128. *)
-let planner_clients = 8
-let planner_per_client = 64
-let planner_warmup = 32
-let planner_pipeline = 4
+let run_daemon socket workers store =
+  let module Server = Pdw_service.Server in
+  Server.wait
+    (Server.start
+       {
+         (Server.default_config ~socket_path:socket) with
+         workers;
+         queue_limit = 128;
+         cache_capacity = 64;
+         job_timeout_ms = 120_000;
+         store_dir = store;
+       })
+
+let run_routerd socket shard_sockets =
+  let module Router = Pdw_service.Router in
+  Router.wait
+    (Router.start (Router.default_config ~socket_path:socket ~shard_sockets))
+
+let sockets_made = ref 0
+
+(* One campaign on fresh daemons: [daemons] processes of [workers]
+   worker domains each, behind the router when [routed].  It ends with
+   the front socket's stats and a shutdown through that socket (the
+   router passes it on to its shards), so the reap is a join, not a
+   kill. *)
+let campaign ~dir ~label ~daemons ~workers ?store ~routed load =
+  let fresh () =
+    incr sockets_made;
+    Filename.concat dir (Printf.sprintf "%d.sock" !sockets_made)
+  in
+  let ready path =
+    if not (Proc.wait_ready path ~timeout_s:15.0) then
+      failwith
+        (Printf.sprintf "serve bench (%s): a daemon did not come up" label)
+  in
+  let shards = List.init daemons (fun _ -> fresh ()) in
+  let pids =
+    ref
+      (List.map
+         (fun s ->
+           Proc.spawn_self
+             ([ "daemon"; s; string_of_int workers ] @ Option.to_list store))
+         shards)
+  in
+  Fun.protect ~finally:(fun () -> Proc.reap !pids) @@ fun () ->
+  List.iter ready shards;
+  let front =
+    if not routed then List.hd shards
+    else begin
+      let path = fresh () in
+      pids := Proc.spawn_self ("routerd" :: path :: shards) :: !pids;
+      ready path;
+      path
+    end
+  in
+  let s =
+    Loadgen.run ~socket_path:front ~clients:load.clients
+      ~per_client:load.per_client ~warmup:load.warmup ~pipeline:load.pipeline
+      ~no_cache:load.no_cache ?seed:load.seed ~verify:true
+      (List.map
+         (fun name -> Protocol.spec (Protocol.Benchmark name))
+         serve_benchmarks)
+  in
+  let request req = Client.with_client front (fun c -> Client.request c req) in
+  let stats =
+    match request Protocol.Stats with
+    | Ok (Protocol.Stats_reply j) -> j
+    | _ -> failwith (Printf.sprintf "serve bench (%s): no stats reply" label)
+  in
+  ignore (request Protocol.Shutdown);
+  let fail what =
+    failwith (Printf.sprintf "serve bench (%s): %s" label what)
+  in
+  if s.Loadgen.mismatches > 0 then fail "served plans diverged from local runs";
+  if s.Loadgen.errors > 0 || s.Loadgen.timeouts > 0 then
+    fail "errors or timeouts under load";
+  if s.Loadgen.shed > 0 then fail "shed at benchmark load";
+  Format.printf
+    "serve: %-17s %7.1f plans/s  p50 %6.2f ms  p95 %6.2f ms  p99 %6.2f ms@."
+    label s.Loadgen.throughput s.Loadgen.p50_ms s.Loadgen.p95_ms
+    s.Loadgen.p99_ms;
+  (s, stats)
+
+(* [serve_rounds] campaigns per setting, the settings interleaved in
+   each round; per setting, the rounds' throughputs and the campaign
+   with the median one. *)
+let median_campaigns settings run =
+  let rounds = List.init serve_rounds (fun _ -> List.map run settings) in
+  List.mapi
+    (fun i x ->
+      let runs = List.map (fun round -> List.nth round i) rounds in
+      let by_rps =
+        List.sort
+          (fun ((a : Loadgen.summary), _) ((b : Loadgen.summary), _) ->
+            Float.compare a.throughput b.throughput)
+          runs
+      in
+      ( x,
+        List.map (fun ((s : Loadgen.summary), _) -> s.throughput) runs,
+        List.nth by_rps (serve_rounds / 2) ))
+    settings
+
+(* The one gate of all three curves: every point up to [upto] within
+   [serve_tolerance] of the curve's first point and, when the curve
+   [scales] on a host with >= 4 cores, 2x its first point at 4. *)
+let gate ~host_cores ~label ~axis ~upto ~scales curve =
+  match curve with
+  | [] -> ()
+  | (x0, base) :: rest ->
+    List.iter
+      (fun (x, rps) ->
+        if x <= upto && rps < serve_tolerance *. base then
+          failwith
+            (Printf.sprintf
+               "serve bench (%s): throughput inverted: %.1f rps at %d %s < \
+                %.2f x %.1f rps at %d"
+               label rps x axis serve_tolerance base x0))
+      rest;
+    match List.assoc_opt 4 curve with
+    | Some at4 when scales && host_cores >= 4 && at4 < 2.0 *. base ->
+      failwith
+        (Printf.sprintf "serve bench (%s): %d-core host but only %.2fx at 4 %s"
+           label host_cores (at4 /. base) axis)
+    | _ -> ()
+
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter
+      (fun f -> remove_tree (Filename.concat path f))
+      (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
 
 let run_serve () =
-  let module Server = Pdw_service.Server in
-  let module Loadgen = Pdw_service.Loadgen in
-  let module Protocol = Pdw_service.Protocol in
   let module J = Pdw_obs.Json in
-  let specs =
-    List.map (fun name -> Protocol.spec (Protocol.Benchmark name)) serve_benchmarks
-  in
   let host_cores = Domain.recommended_domain_count () in
-  let check label (s : Loadgen.summary) =
-    if s.Loadgen.mismatches > 0 then
-      failwith
-        (Printf.sprintf "serve bench (%s): served plans diverged from local runs"
-           label);
-    if s.Loadgen.errors > 0 || s.Loadgen.timeouts > 0 then
-      failwith
-        (Printf.sprintf "serve bench (%s): errors or timeouts under load" label);
-    if s.Loadgen.shed > 0 then
-      failwith
-        (Printf.sprintf "serve bench (%s): shed at benchmark load" label)
+  let dir = Filename.temp_file "pdw-serve-bench" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  Fun.protect ~finally:(fun () -> try remove_tree dir with Sys_error _ -> ())
+  @@ fun () ->
+  let field stats k =
+    match J.member k stats with
+    | Some v -> v
+    | None -> failwith (Printf.sprintf "serve bench: stats carry no %s" k)
   in
-  let print_campaign workers label (s : Loadgen.summary) =
-    Format.printf
-      "serve: workers=%d  %-7s  %7.1f plans/s  p50 %6.2f ms  p95 %6.2f ms  \
-       p99 %6.2f ms  cached %d  coalesced %d@."
-      workers label s.Loadgen.throughput s.Loadgen.p50_ms s.Loadgen.p95_ms
-      s.Loadgen.p99_ms s.Loadgen.cached s.Loadgen.coalesced
+  let depth_peak stats =
+    match J.member "depth_peak" (field stats "queue") with
+    | Some (J.Int p) -> p
+    | _ -> failwith "serve bench: stats carry no queue.depth_peak"
   in
-  (* Per-campaign server-side breakdown: the server's histograms are
-     cumulative, so snapshotting before/after a campaign and diffing
-     (exact, bucket-wise) isolates that campaign's queue-wait vs
-     service-time story. *)
-  let module H = Pdw_obs.Histogram in
-  let hist_summary h =
+  let server_section stats =
     J.Obj
-      [
-        ("samples", J.Int (H.count h));
-        ("mean", J.Float (H.mean h));
-        ("p50", J.Float (H.quantile h 0.50));
-        ("p95", J.Float (H.quantile h 0.95));
-        ("p99", J.Float (H.quantile h 0.99));
-      ]
+      (List.map
+         (fun k -> (k, field stats k))
+         [ "latency_ms"; "queue_wait_ms"; "service_ms" ])
   in
-  let server_interval (a : Server.telemetry) (b : Server.telemetry) =
-    J.Obj
-      [
-        ("latency_ms", hist_summary (H.diff a.Server.latency b.Server.latency));
-        ( "queue_wait_ms",
-          hist_summary (H.diff a.Server.queue_wait b.Server.queue_wait) );
-        ("service_ms", hist_summary (H.diff a.Server.service b.Server.service));
-      ]
+  let rps_list rs = J.Arr (List.map (fun r -> J.Float r) rs) in
+  let on_daemon label load workers =
+    campaign ~dir ~daemons:1 ~workers ~routed:false load
+      ~label:(Printf.sprintf "workers=%d %s" workers label)
   in
-  let print_breakdown workers label (a : Server.telemetry)
-      (b : Server.telemetry) =
-    let qw = H.diff a.Server.queue_wait b.Server.queue_wait in
-    let sv = H.diff a.Server.service b.Server.service in
-    Format.printf
-      "serve: workers=%d  %-7s  queue-wait p95 %6.2f ms  service p95 %6.2f \
-       ms  (%d jobs)@."
-      workers label (H.quantile qw 0.95) (H.quantile sv 0.95) (H.count sv)
+  let cached =
+    median_campaigns serve_workers (on_daemon "cached" cached_load)
   in
-  let measure workers =
-    let socket_path =
-      let path = Filename.temp_file "pdw-bench" ".sock" in
-      Sys.remove path;
-      path
-    in
-    let srv =
-      Server.start
-        {
-          Server.socket_path;
-          workers;
-          queue_limit = 128;
-          cache_capacity = 64;
-          job_timeout_ms = 120_000;
-          store_dir = None;
-          store_max_bytes = 256 * 1024 * 1024;
-        }
-    in
-    Fun.protect
-      ~finally:(fun () -> Server.stop srv)
-      (fun () ->
-        (* Cached first: its warm-up primes the cache with the three
-           benchmark specs, and with lazily spawned worker domains the
-           measured hit phase runs under the same conditions a
-           hit-dominated production mix would see.  The planner
-           campaign then brings every worker to life. *)
-        let tel0 = Server.telemetry srv in
-        let cached =
-          Loadgen.run ~socket_path ~clients:serve_clients
-            ~per_client:serve_per_client ~warmup:serve_warmup
-            ~pipeline:serve_pipeline ~verify:true specs
-        in
-        check "cached" cached;
-        let tel1 = Server.telemetry srv in
-        let planner =
-          Loadgen.run ~socket_path ~clients:planner_clients
-            ~per_client:planner_per_client ~warmup:planner_warmup
-            ~pipeline:planner_pipeline ~no_cache:true ~verify:true specs
-        in
-        check "planner" planner;
-        let tel2 = Server.telemetry srv in
-        let peak =
-          let stats = Server.stats_json srv in
-          match
-            Option.bind (Pdw_obs.Json.member "queue" stats)
-              (Pdw_obs.Json.member "depth_peak")
-          with
-          | Some (Pdw_obs.Json.Int p) -> p
-          | _ -> failwith "serve bench: stats carry no queue.depth_peak"
-        in
-        print_campaign workers "cached" cached;
-        print_campaign workers "planner" planner;
-        print_breakdown workers "planner" tel2 tel1;
-        Format.printf "serve: workers=%d  queue depth peak %d@." workers peak;
-        ( (cached.Loadgen.throughput, planner.Loadgen.throughput),
-          J.Obj
-            [
-              ("workers", J.Int workers);
-              ("queue_depth_peak", J.Int peak);
-              ("cached", Loadgen.summary_json cached);
-              ("cached_server", server_interval tel1 tel0);
-              ("planner", Loadgen.summary_json planner);
-              ("planner_server", server_interval tel2 tel1);
-            ] ))
+  let planner = List.map (on_daemon "planner" planner_load) serve_workers in
+  let store = Filename.concat dir "store" in
+  let fleet =
+    median_campaigns fleet_procs (fun procs ->
+        campaign ~dir ~daemons:procs ~workers:fleet_workers ~store ~routed:true
+          fleet_load
+          ~label:(Printf.sprintf "procs=%d cached" procs))
   in
-  let measured = List.map measure serve_workers in
-  let runs = List.map snd measured in
-  let cached_rps = List.map (fun ((c, _), _) -> c) measured in
-  let planner_rps = List.map (fun ((_, p), _) -> p) measured in
-  (* The gates (see the header comment).  Each curve is compared
-     against its own single-worker baseline rather than the previous
-     point, so small per-step wobbles cannot compound into a tolerated
-     slide. *)
-  let monotone label ~max_workers curve =
-    match List.combine serve_workers curve with
-    | [] -> ()
-    | (_, base) :: rest ->
-      List.iter
-        (fun (w, rps) ->
-          if w <= max_workers && rps < base *. serve_tolerance then
-            failwith
-              (Printf.sprintf
-                 "serve bench (%s): throughput inverted: %.1f rps at %d \
-                  workers < %.2f x %.1f rps at 1 worker"
-                 label rps w serve_tolerance base))
-        rest
+  let curve =
+    List.map2 (fun x ((s : Loadgen.summary), _) -> (x, s.throughput))
   in
-  monotone "cached" ~max_workers:max_int cached_rps;
-  monotone "planner" ~max_workers:host_cores planner_rps;
-  (match (planner_rps, host_cores >= 4) with
-   | base :: _, true ->
-     let at4 = List.assoc 4 (List.combine serve_workers planner_rps) in
-     if at4 < 2.0 *. base then
-       failwith
-         (Printf.sprintf
-            "serve bench (planner): %d-core host but only %.2fx speedup at 4 \
-             workers"
-            host_cores (at4 /. base))
-   | _ -> ());
-  (* BENCH_serve.json is shared with the fleet campaign ([bench --
-     fleet]); whichever job runs rewrites its own sections and carries
-     the other's through, so running the two in either order leaves
-     both curves in the file. *)
-  let carried_fleet =
-    match
-      In_channel.with_open_text "BENCH_serve.json" In_channel.input_all
-    with
-    | exception Sys_error _ -> []
-    | text -> (
-      match Pdw_obs.Json.parse text with
-      | Error _ -> []
-      | Ok j -> (
-        match Pdw_obs.Json.member "fleet" j with
-        | Some f -> [ ("fleet", f) ]
-        | None -> []))
+  let medians = List.map (fun (_, _, median) -> median) in
+  gate ~host_cores ~label:"cached" ~axis:"workers" ~upto:max_int ~scales:false
+    (curve serve_workers (medians cached));
+  gate ~host_cores ~label:"planner" ~axis:"workers" ~upto:host_cores
+    ~scales:true (curve serve_workers planner);
+  gate ~host_cores ~label:"fleet" ~axis:"processes" ~upto:max_int ~scales:true
+    (curve fleet_procs (medians fleet));
+  let runs =
+    List.map2
+      (fun (workers, rounds_rps, (c, c_stats)) (p, p_stats) ->
+        J.Obj
+          [
+            ("workers", J.Int workers);
+            ( "queue_depth_peak",
+              J.Int (max (depth_peak c_stats) (depth_peak p_stats)) );
+            ("cached", Loadgen.summary_json c);
+            ("cached_rounds_rps", rps_list rounds_rps);
+            ("cached_server", server_section c_stats);
+            ("planner", Loadgen.summary_json p);
+            ("planner_server", server_section p_stats);
+          ])
+      cached planner
   in
-  let json =
-    J.Obj
-      ([
-         ("schema", J.Str "pathdriver-wash/bench-serve/v6");
+  let settings =
+    List.map
+      (fun (procs, rounds_rps, (s, router)) ->
+        J.Obj
+          [
+            ("procs", J.Int procs);
+            ("shard_workers", J.Int fleet_workers);
+            ("cached", Loadgen.summary_json s);
+            ("rounds_rps", rps_list rounds_rps);
+            ("router", router);
+          ])
+      fleet
+  in
+  write_json "BENCH_serve.json"
+    (J.Obj
+       [
+         ("schema", J.Str "pathdriver-wash/bench-serve/v7");
          ("git_commit", J.Str (git_commit ()));
          ("generated_at", J.Str (iso8601_now ()));
          ("host_cores", J.Int host_cores);
          ("tolerance", J.Float serve_tolerance);
-         ( "benchmarks",
-           J.Arr (List.map (fun n -> J.Str n) serve_benchmarks) );
+         ("rounds", J.Int serve_rounds);
+         ("benchmarks", J.Arr (List.map (fun n -> J.Str n) serve_benchmarks));
          ("runs", J.Arr runs);
-       ]
-      @ carried_fleet)
-  in
-  let path = "BENCH_serve.json" in
-  let oc = open_out path in
-  output_string oc (J.to_string json);
-  output_string oc "\n";
-  close_out oc;
-  Format.printf "serve: wrote %s@." path
-
-(* --- the fleet campaign: 1/2/4 shard *processes* behind the router ---
-
-   The in-process curve above tops out wherever one OCaml runtime does:
-   cached hits are served by connection threads that all share a master
-   lock, so worker domains cannot help them.  The fleet campaign
-   measures the tier that removes that ceiling — [bench] drives the
-   router process, the router fans out over N independent shard daemon
-   processes, and every process owns its own runtime and GC.
-
-   Topology per setting: this process (loadgen client threads only)
-   -> router process -> N shard processes, all spawned fork/exec from
-   this very executable via hidden [shardd]/[routerd] argv modes
-   (never a bare fork: the bench runtime has live domains).  All
-   settings share one plan-store directory, so later settings start
-   store-warm — the run summaries record the resulting store-tier hits,
-   which is the second-tier behaviour the store exists to provide.
-
-   The campaign drives >= 1e5 verified pipelined requests across the
-   three settings; the gate mirrors the in-process cached gate
-   (monotone vs the 1-process baseline within [serve_tolerance]) plus
-   the scale-out claim itself: on a host with >= 4 cores, 4 shard
-   processes must beat the 1-process baseline by >= 2x. *)
-let fleet_procs = [ 1; 2; 4 ]
-let fleet_clients = 8
-let fleet_per_client = 4608  (* 3 settings x 8 x 4608 = 110,592 measured *)
-let fleet_warmup = 64
-let fleet_pipeline = 32
-let fleet_seed = 424242
-let fleet_shard_workers = 2
-
-let run_shardd socket store =
-  let module Server = Pdw_service.Server in
-  let srv =
-    Server.start
-      {
-        Server.socket_path = socket;
-        workers = fleet_shard_workers;
-        queue_limit = 256;
-        cache_capacity = 64;
-        job_timeout_ms = 120_000;
-        store_dir = Some store;
-        store_max_bytes = 256 * 1024 * 1024;
-      }
-  in
-  Server.wait srv
-
-let run_routerd socket shard_sockets =
-  let module Router = Pdw_service.Router in
-  let r =
-    Router.start (Router.default_config ~socket_path:socket ~shard_sockets)
-  in
-  Router.wait r
-
-let run_fleet () =
-  let module Proc = Pdw_service.Proc in
-  let module Loadgen = Pdw_service.Loadgen in
-  let module Protocol = Pdw_service.Protocol in
-  let module Client = Pdw_service.Client in
-  let module O = Pdw_obs.Json in
-  let host_cores = Domain.recommended_domain_count () in
-  let specs =
-    List.map
-      (fun name -> Protocol.spec (Protocol.Benchmark name))
-      serve_benchmarks
-  in
-  let base_dir = Filename.temp_file "pdw-fleet-bench" "" in
-  Sys.remove base_dir;
-  Unix.mkdir base_dir 0o755;
-  let store_dir = Filename.concat base_dir "store" in
-  let measure procs =
-    let shard_sockets =
-      List.init procs (fun i ->
-          Filename.concat base_dir (Printf.sprintf "shard-%d-%d.sock" procs i))
-    in
-    let router_socket =
-      Filename.concat base_dir (Printf.sprintf "router-%d.sock" procs)
-    in
-    let shard_pids =
-      List.map
-        (fun s -> Proc.spawn_self [ "shardd"; s; store_dir ])
-        shard_sockets
-    in
-    let router_pid = ref None in
-    Fun.protect
-      ~finally:(fun () -> Proc.reap (shard_pids @ Option.to_list !router_pid))
-      (fun () ->
-        if
-          not
-            (List.for_all
-               (fun s -> Proc.wait_ready s ~timeout_s:15.0)
-               shard_sockets)
-        then failwith "fleet bench: shard daemons did not come up";
-        router_pid :=
-          Some (Proc.spawn_self ([ "routerd"; router_socket ] @ shard_sockets));
-        if not (Proc.wait_ready router_socket ~timeout_s:15.0) then
-          failwith "fleet bench: router did not come up";
-        let cached =
-          Loadgen.run ~socket_path:router_socket ~clients:fleet_clients
-            ~per_client:fleet_per_client ~warmup:fleet_warmup
-            ~pipeline:fleet_pipeline ~seed:fleet_seed ~verify:true specs
-        in
-        if cached.Loadgen.mismatches > 0 then
-          failwith "fleet bench: served plans diverged from local runs";
-        if
-          cached.Loadgen.errors > 0
-          || cached.Loadgen.timeouts > 0
-          || cached.Loadgen.shed > 0
-        then failwith "fleet bench: errors, timeouts or shed under load";
-        (* The fleet-merged stats carry the per-shard-process
-           breakdowns (each proc's own requests/cache/store sections). *)
-        let router_stats =
-          match Client.connect router_socket with
-          | exception Unix.Unix_error _ -> O.Null
-          | c ->
-            let r = Client.request c Protocol.Stats in
-            Client.close c;
-            (match r with
-            | Ok (Protocol.Stats_reply j) -> j
-            | _ -> O.Null)
-        in
-        (* Shut the fleet down through the router: it broadcasts to the
-           shards first, so the reap below is a join, not a kill. *)
-        (match Client.connect router_socket with
-        | exception Unix.Unix_error _ -> ()
-        | c ->
-          ignore (Client.request c Protocol.Shutdown);
-          Client.close c);
-        Format.printf
-          "fleet: procs=%d  cached  %7.1f plans/s  p50 %6.2f ms  p95 %6.2f \
-           ms  p99 %6.2f ms  store hits %d@."
-          procs cached.Loadgen.throughput cached.Loadgen.p50_ms
-          cached.Loadgen.p95_ms cached.Loadgen.p99_ms
-          cached.Loadgen.store_hits;
-        ( cached.Loadgen.throughput,
-          O.Obj
-            [
-              ("procs", O.Int procs);
-              ("shard_workers", O.Int fleet_shard_workers);
-              ("cached", Loadgen.summary_json cached);
-              ("router", router_stats);
-            ] ))
-  in
-  let measured = List.map measure fleet_procs in
-  let curve = List.map fst measured in
-  let settings = List.map snd measured in
-  (match List.combine fleet_procs curve with
-  | [] -> ()
-  | (_, base) :: rest ->
-    List.iter
-      (fun (p, rps) ->
-        if rps < base *. serve_tolerance then
-          failwith
-            (Printf.sprintf
-               "fleet bench: throughput inverted: %.1f rps at %d processes < \
-                %.2f x %.1f rps at 1 process"
-               rps p serve_tolerance base))
-      rest;
-    if host_cores >= 4 then begin
-      let at4 = List.assoc 4 (List.combine fleet_procs curve) in
-      if at4 < 2.0 *. base then
-        failwith
-          (Printf.sprintf
-             "fleet bench: %d-core host but only %.2fx scale-out at 4 shard \
-              processes"
-             host_cores (at4 /. base))
-    end);
-  let fleet_obj =
-    O.Obj
-      [
-        ("clients", O.Int fleet_clients);
-        ("per_client", O.Int fleet_per_client);
-        ("warmup", O.Int fleet_warmup);
-        ("pipeline", O.Int fleet_pipeline);
-        ("seed", O.Int fleet_seed);
-        ("host_cores", O.Int host_cores);
-        ("tolerance", O.Float serve_tolerance);
-        ( "total_requests",
-          O.Int (List.length fleet_procs * fleet_clients * fleet_per_client)
-        );
-        ("settings", O.Arr settings);
-      ]
-  in
-  (* Merge into BENCH_serve.json, preserving the in-process sections
-     [bench -- serve] wrote (and refreshing provenance). *)
-  let carried =
-    match
-      In_channel.with_open_text "BENCH_serve.json" In_channel.input_all
-    with
-    | exception Sys_error _ -> []
-    | text -> (
-      match O.parse text with
-      | Error _ -> []
-      | Ok (O.Obj fields) ->
-        List.filter
-          (fun (k, _) ->
-            not
-              (List.mem k [ "schema"; "git_commit"; "generated_at"; "fleet" ]))
-          fields
-      | Ok _ -> [])
-  in
-  let json =
-    O.Obj
-      ([
-         ("schema", O.Str "pathdriver-wash/bench-serve/v6");
-         ("git_commit", O.Str (git_commit ()));
-         ("generated_at", O.Str (iso8601_now ()));
-       ]
-      @ carried
-      @ [ ("fleet", fleet_obj) ])
-  in
-  let path = "BENCH_serve.json" in
-  let oc = open_out path in
-  output_string oc (O.to_string json);
-  output_string oc "\n";
-  close_out oc;
-  (try
-     List.iter
-       (fun f ->
-         let p = Filename.concat base_dir f in
-         if Sys.file_exists p && not (Sys.is_directory p) then Sys.remove p)
-       (Array.to_list (Sys.readdir base_dir) @ []);
-     Array.iter
-       (fun f -> Sys.remove (Filename.concat store_dir f))
-       (try Sys.readdir store_dir with Sys_error _ -> [||]);
-     (try Unix.rmdir store_dir with Unix.Unix_error _ -> ());
-     Unix.rmdir base_dir
-   with Sys_error _ | Unix.Unix_error _ -> ());
-  Format.printf "fleet: wrote %s@." path
+         ( "fleet",
+           J.Obj
+             [
+               ("host_cores", J.Int host_cores);
+               ("tolerance", J.Float serve_tolerance);
+               ( "total_requests",
+                 J.Int
+                   (serve_rounds * List.length fleet_procs * fleet_load.clients
+                  * fleet_load.per_client) );
+               ("settings", J.Arr settings);
+             ] );
+       ]);
+  Format.printf "serve: wrote BENCH_serve.json@."
 
 (* The CI perf-regression gate: diff two BENCH_solver.json snapshots.
    Solution metrics — n_wash, l_wash_mm, t_assay_s — must be identical:
@@ -1262,7 +1103,7 @@ let run_compare ~tolerance baseline_path new_path =
 
 let usage () =
   print_endline
-    "usage: main.exe [all|table2|fig4|fig5|motivating|ablate|archcompare|ilppaths|scale|sensitivity|binding|batch|ports|speed|storage|perf|serve|fleet] [--trace FILE] [--stats] [--domains N]\n\
+    "usage: main.exe [all|table2|fig4|fig5|motivating|ablate|archcompare|ilppaths|scale|sensitivity|binding|batch|ports|speed|storage|perf|serve] [--trace FILE] [--stats] [--domains N]\n\
     \       main.exe compare BASELINE.json NEW.json [--tolerance RATIO]"
 
 (* Pull [--trace FILE] / [--stats] / [--domains N] out of the argument
@@ -1297,13 +1138,12 @@ let run_ilp_probe () =
   ignore (Pdw.optimize ~config:(exact_ilp_config ~warm_start:true) s)
 
 let () =
-  (* Hidden fleet-process modes, dispatched before anything else: the
-     fleet campaign re-execs this very binary as its shard daemons and
-     its router (fork/exec — a bare fork is unsafe once this runtime
-     has domains).  Not part of the public job list. *)
+  (* Hidden daemon modes, dispatched before anything else: the serving
+     benchmark re-execs this very binary as its daemons and its router.
+     Not part of the public job list. *)
   (match List.tl (Array.to_list Sys.argv) with
-  | [ "shardd"; socket; store ] ->
-    run_shardd socket store;
+  | "daemon" :: socket :: workers :: ([] | [ _ ] as store) ->
+    run_daemon socket (int_of_string workers) (List.nth_opt store 0);
     exit 0
   | "routerd" :: socket :: (_ :: _ as shard_sockets) ->
     run_routerd socket shard_sockets;
@@ -1366,7 +1206,6 @@ let () =
     | [ "storage" ] -> [ run_storage ]
     | [ "perf" ] -> [ run_perf ]
     | [ "serve" ] -> [ run_serve ]
-    | [ "fleet" ] -> [ run_fleet ]
     | _ ->
       usage ();
       exit 1

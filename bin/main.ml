@@ -11,7 +11,6 @@ module Synthesis = Pdw_synth.Synthesis
 module Contamination = Pdw_wash.Contamination
 module Necessity = Pdw_wash.Necessity
 module Pdw = Pdw_wash.Pdw
-module Dawo = Pdw_wash.Dawo
 module Wash_plan = Pdw_wash.Wash_plan
 module Metrics = Pdw_wash.Metrics
 module Report = Pdw_wash.Report
@@ -24,19 +23,6 @@ module Client = Pdw_service.Client
 module Loadgen = Pdw_service.Loadgen
 module Protocol = Pdw_service.Protocol
 module Proc = Pdw_service.Proc
-
-let benchmark_names =
-  [ "pcr"; "ivd"; "proteinsplit"; "kinase act-1"; "kinase act-2";
-    "synthetic1"; "synthetic2"; "synthetic3"; "motivating" ]
-
-let load name =
-  match Benchmarks.find name with
-  | Some b -> Ok b
-  | None ->
-    Error
-      (`Msg
-        (Printf.sprintf "unknown benchmark %S (try one of: %s)" name
-           (String.concat ", " benchmark_names)))
 
 (* The planner config behind [run] and [submit]: one function, so
    served and one-shot runs line up. *)
@@ -219,6 +205,33 @@ let with_obs obs f =
 
 (* --- subcommand implementations --- *)
 
+(* Every planner subcommand gets its synthesis and outcome from the
+   daemon's own pipeline stages ([Engine]), so a one-shot run and a
+   served plan cannot drift apart. *)
+let spec_of ?method_ ?config name =
+  Protocol.spec ?method_ ?config (Protocol.Benchmark name)
+
+(* Synthesize and optimize [spec], then let [k] print and pick the exit
+   code; a spec that does not resolve is reported and exits 1. *)
+let planned ~name spec k =
+  match Engine.synthesize spec with
+  | Error m ->
+    prerr_endline m;
+    (1, None)
+  | Ok s ->
+    let outcome = Engine.optimize spec s in
+    ( k s outcome,
+      Some { ctx_name = name; ctx_synthesis = s; ctx_outcome = outcome } )
+
+(* One Table II row: DAWO, then PDW, on the same synthesis. *)
+let table2_row name spec s =
+  let dawo = Engine.optimize { spec with Protocol.method_ = `Dawo } s in
+  let pdw = Engine.optimize spec s in
+  ( Report.row ~name
+      ~device_count:(List.length s.Synthesis.benchmark.Benchmarks.device_kinds)
+      dawo pdw,
+    { ctx_name = name; ctx_synthesis = s; ctx_outcome = pdw } )
+
 let cmd_list () =
   List.iter
     (fun (name, (b : Benchmarks.t)) ->
@@ -228,16 +241,15 @@ let cmd_list () =
         (List.length b.Benchmarks.device_kinds)
         (Sequencing_graph.num_edges g)
         (List.length (Sequencing_graph.reagents g)))
-    (("Motivating", Benchmarks.motivating ()) :: Benchmarks.all ());
+    (Benchmarks.named ());
   0
 
 let cmd_show_layout name =
-  match load name with
-  | Error (`Msg m) ->
+  match Engine.synthesize (spec_of name) with
+  | Error m ->
     prerr_endline m;
     1
-  | Ok b ->
-    let s = Engine.synthesize_benchmark name b in
+  | Ok s ->
     print_endline (Layout.render s.Synthesis.layout);
     Printf.printf "\n%d devices, %d flow ports, %d waste ports\n"
       (List.length (Layout.devices s.Synthesis.layout))
@@ -246,12 +258,11 @@ let cmd_show_layout name =
     0
 
 let cmd_necessity name =
-  match load name with
-  | Error (`Msg m) ->
+  match Engine.synthesize (spec_of name) with
+  | Error m ->
     prerr_endline m;
     1
-  | Ok b ->
-    let s = Engine.synthesize_benchmark name b in
+  | Ok s ->
     let report =
       Necessity.analyze (Contamination.analyze s.Synthesis.schedule)
     in
@@ -276,69 +287,50 @@ let cmd_run name method_ show_schedule as_json verbose no_necessity
     no_integration ilp_paths dissolution obs =
   setup_logs verbose;
   with_obs obs @@ fun () ->
-  match load name with
-  | Error (`Msg m) ->
-    prerr_endline m;
-    (1, None)
-  | Ok b ->
-    let s = Engine.synthesize_benchmark name b in
-    let config =
-      planner_config no_necessity no_integration ilp_paths dissolution
-    in
-    let outcome =
-      match method_ with
-      | `Pdw -> Pdw.optimize ~config s
-      | `Dawo -> Dawo.optimize s
-    in
-    if as_json then
-      print_endline
-        (Pdw_wash.Json_export.to_string (Pdw_wash.Json_export.outcome outcome))
-    else begin
-      Format.printf "%s on %s: %a@."
-        (match method_ with `Pdw -> "PDW" | `Dawo -> "DAWO")
-        name Metrics.pp outcome.Wash_plan.metrics;
-      Format.printf "rounds=%d converged=%b washes=%d demands-per-round=[%s]@."
-        outcome.Wash_plan.rounds outcome.Wash_plan.converged
-        (List.length outcome.Wash_plan.washes)
-        (String.concat "; "
-           (List.map string_of_int outcome.Wash_plan.demand_history));
-      if show_schedule then
-        Format.printf "@.%a@." Schedule.pp outcome.Wash_plan.schedule
-    end;
-    ( (if outcome.Wash_plan.converged then 0 else 2),
-      Some { ctx_name = name; ctx_synthesis = s; ctx_outcome = outcome } )
+  let config =
+    planner_config no_necessity no_integration ilp_paths dissolution
+  in
+  planned ~name (spec_of ~method_ ~config name) @@ fun _ outcome ->
+  if as_json then print_endline (Engine.export outcome)
+  else begin
+    Format.printf "%s on %s: %a@."
+      (match method_ with `Pdw -> "PDW" | `Dawo -> "DAWO")
+      name Metrics.pp outcome.Wash_plan.metrics;
+    Format.printf "rounds=%d converged=%b washes=%d demands-per-round=[%s]@."
+      outcome.Wash_plan.rounds outcome.Wash_plan.converged
+      (List.length outcome.Wash_plan.washes)
+      (String.concat "; "
+         (List.map string_of_int outcome.Wash_plan.demand_history));
+    if show_schedule then
+      Format.printf "@.%a@." Schedule.pp outcome.Wash_plan.schedule
+  end;
+  if outcome.Wash_plan.converged then 0 else 2
 
 let cmd_compare name obs =
   with_obs obs @@ fun () ->
-  match load name with
-  | Error (`Msg m) ->
+  let spec = spec_of name in
+  match Engine.synthesize spec with
+  | Error m ->
     prerr_endline m;
     (1, None)
-  | Ok b ->
-    let s = Engine.synthesize_benchmark name b in
-    let dawo = Dawo.optimize s in
-    let pdw = Pdw.optimize s in
-    let row =
-      Report.row ~name
-        ~device_count:(List.length b.Benchmarks.device_kinds)
-        dawo pdw
-    in
+  | Ok s ->
+    let row, ctx = table2_row name spec s in
     Report.print_table2 Format.std_formatter [ row ];
-    (0, Some { ctx_name = name; ctx_synthesis = s; ctx_outcome = pdw })
+    (0, Some ctx)
 
 let cmd_table2 obs =
   with_obs obs @@ fun () ->
   let last = ref None in
   let rows =
     List.map
-      (fun (name, (b : Benchmarks.t)) ->
-        let s = Synthesis.synthesize b in
-        let dawo = Dawo.optimize s in
-        let pdw = Pdw.optimize s in
-        last := Some { ctx_name = name; ctx_synthesis = s; ctx_outcome = pdw };
-        Report.row ~name
-          ~device_count:(List.length b.Benchmarks.device_kinds)
-          dawo pdw)
+      (fun (name, _) ->
+        let spec = spec_of name in
+        match Engine.synthesize spec with
+        | Error m -> failwith m
+        | Ok s ->
+          let row, ctx = table2_row name spec s in
+          last := Some ctx;
+          row)
       (Benchmarks.all ())
   in
   Report.print_table2 Format.std_formatter rows;
@@ -348,78 +340,60 @@ let cmd_table2 obs =
 
 let cmd_render name output obs =
   with_obs obs @@ fun () ->
-  match load name with
-  | Error (`Msg m) ->
-    prerr_endline m;
-    (1, None)
-  | Ok b ->
-    let s = Engine.synthesize_benchmark name b in
-    let outcome = Pdw.optimize s in
-    let washes =
-      List.mapi
-        (fun i (t : Pdw_synth.Task.t) ->
-          (Printf.sprintf "wash %d" (i + 1), t.Pdw_synth.Task.path))
-        outcome.Wash_plan.washes
-    in
-    let layout_svg =
-      Pdw_viz.Layout_svg.render ~highlight:washes s.Synthesis.layout
-    in
-    let gantt_svg = Pdw_viz.Gantt_svg.render outcome.Wash_plan.schedule in
-    let write path contents =
-      let oc = open_out path in
-      output_string oc contents;
-      close_out oc;
-      Printf.printf "wrote %s\n" path
-    in
-    write (output ^ "-layout.svg") layout_svg;
-    write (output ^ "-schedule.svg") gantt_svg;
-    (0, Some { ctx_name = name; ctx_synthesis = s; ctx_outcome = outcome })
+  planned ~name (spec_of name) @@ fun s outcome ->
+  let washes =
+    List.mapi
+      (fun i (t : Pdw_synth.Task.t) ->
+        (Printf.sprintf "wash %d" (i + 1), t.Pdw_synth.Task.path))
+      outcome.Wash_plan.washes
+  in
+  let layout_svg =
+    Pdw_viz.Layout_svg.render ~highlight:washes s.Synthesis.layout
+  in
+  let gantt_svg = Pdw_viz.Gantt_svg.render outcome.Wash_plan.schedule in
+  let write path contents =
+    let oc = open_out path in
+    output_string oc contents;
+    close_out oc;
+    Printf.printf "wrote %s\n" path
+  in
+  write (output ^ "-layout.svg") layout_svg;
+  write (output ^ "-schedule.svg") gantt_svg;
+  0
 
 let cmd_animate name time obs =
   with_obs obs @@ fun () ->
-  match load name with
-  | Error (`Msg m) ->
-    prerr_endline m;
-    (1, None)
-  | Ok b ->
-    let s = Engine.synthesize_benchmark name b in
-    let outcome = Pdw.optimize s in
-    let sim = Pdw_sim.Flow_sim.run outcome.Wash_plan.schedule in
-    let horizon = Pdw_sim.Flow_sim.makespan sim in
-    let t = min time horizon in
-    Printf.printf
-      "t = %d / %d s  (# flowing, ~ residue, utilization %.1f%%)\n%s\n" t
-      horizon
-      (100.0 *. Pdw_sim.Flow_sim.utilization sim)
-      (Pdw_sim.Flow_sim.render_frame sim ~time:t);
-    (0, Some { ctx_name = name; ctx_synthesis = s; ctx_outcome = outcome })
+  planned ~name (spec_of name) @@ fun _ outcome ->
+  let sim = Pdw_sim.Flow_sim.run outcome.Wash_plan.schedule in
+  let horizon = Pdw_sim.Flow_sim.makespan sim in
+  let t = min time horizon in
+  Printf.printf
+    "t = %d / %d s  (# flowing, ~ residue, utilization %.1f%%)\n%s\n" t
+    horizon
+    (100.0 *. Pdw_sim.Flow_sim.utilization sim)
+    (Pdw_sim.Flow_sim.render_frame sim ~time:t);
+  0
 
 let cmd_actuations name obs =
   with_obs obs @@ fun () ->
-  match load name with
-  | Error (`Msg m) ->
-    prerr_endline m;
-    (1, None)
-  | Ok b ->
-    let s = Engine.synthesize_benchmark name b in
-    let outcome = Pdw.optimize s in
-    let plan = Pdw_synth.Actuation.of_schedule outcome.Wash_plan.schedule in
-    Printf.printf
-      "Control layer for the optimized schedule of %s:\n\
-      \  valve transitions: %d\n\
-      \  peak open valves:  %d\n\
-       Busiest valves:\n"
-      name
-      (Pdw_synth.Actuation.switching_count plan)
-      (Pdw_synth.Actuation.peak_open plan);
-    List.iteri
-      (fun i (valve, n) ->
-        if i < 5 then
-          Printf.printf "  %-8s %d transitions\n"
-            (Pdw_geometry.Coord.to_string valve)
-            n)
-      (Pdw_synth.Actuation.per_valve plan);
-    (0, Some { ctx_name = name; ctx_synthesis = s; ctx_outcome = outcome })
+  planned ~name (spec_of name) @@ fun _ outcome ->
+  let plan = Pdw_synth.Actuation.of_schedule outcome.Wash_plan.schedule in
+  Printf.printf
+    "Control layer for the optimized schedule of %s:\n\
+    \  valve transitions: %d\n\
+    \  peak open valves:  %d\n\
+     Busiest valves:\n"
+    name
+    (Pdw_synth.Actuation.switching_count plan)
+    (Pdw_synth.Actuation.peak_open plan);
+  List.iteri
+    (fun i (valve, n) ->
+      if i < 5 then
+        Printf.printf "  %-8s %d transitions\n"
+          (Pdw_geometry.Coord.to_string valve)
+          n)
+    (Pdw_synth.Actuation.per_valve plan);
+  0
 
 let cmd_optimize_file path obs =
   with_obs obs @@ fun () ->
@@ -427,49 +401,25 @@ let cmd_optimize_file path obs =
   | exception Sys_error m ->
     prerr_endline m;
     (1, None)
-  | text -> (
-    match Pdw_assay.Assay_parser.parse text with
-    | Error m ->
-      Printf.eprintf "%s: %s\n" path m;
-      (1, None)
-    | Ok b ->
-      let s = Synthesis.synthesize b in
-      let outcome = Pdw.optimize s in
-      Format.printf "PDW on %s: %a@." path Metrics.pp
-        outcome.Wash_plan.metrics;
-      Format.printf "%a@." Schedule.pp outcome.Wash_plan.schedule;
-      ( (if outcome.Wash_plan.converged then 0 else 2),
-        Some { ctx_name = path; ctx_synthesis = s; ctx_outcome = outcome } ))
+  | text ->
+    planned ~name:path (Protocol.spec (Protocol.Inline text))
+    @@ fun _ outcome ->
+    Format.printf "PDW on %s: %a@." path Metrics.pp outcome.Wash_plan.metrics;
+    Format.printf "%a@." Schedule.pp outcome.Wash_plan.schedule;
+    if outcome.Wash_plan.converged then 0 else 2
 
 let cmd_paths name obs =
   with_obs obs @@ fun () ->
-  match load name with
-  | Error (`Msg m) ->
-    prerr_endline m;
-    (1, None)
-  | Ok b ->
-    let s = Engine.synthesize_benchmark name b in
-    let outcome = Pdw.optimize s in
-    Report.print_flow_paths Format.std_formatter outcome.Wash_plan.schedule;
-    (0, Some { ctx_name = name; ctx_synthesis = s; ctx_outcome = outcome })
+  planned ~name (spec_of name) @@ fun _ outcome ->
+  Report.print_flow_paths Format.std_formatter outcome.Wash_plan.schedule;
+  0
 
 let cmd_verify name method_ obs =
   with_obs obs @@ fun () ->
-  match load name with
-  | Error (`Msg m) ->
-    prerr_endline m;
-    (1, None)
-  | Ok b ->
-    let s = Engine.synthesize_benchmark name b in
-    let outcome =
-      match method_ with
-      | `Pdw -> Pdw.optimize s
-      | `Dawo -> Dawo.optimize s
-    in
-    let report = Pdw_check.Validate.outcome outcome in
-    Format.printf "%a@." Pdw_check.Validate.pp report;
-    ( (if Pdw_check.Validate.ok report then 0 else 2),
-      Some { ctx_name = name; ctx_synthesis = s; ctx_outcome = outcome } )
+  planned ~name (spec_of ~method_ name) @@ fun _ outcome ->
+  let report = Pdw_check.Validate.outcome outcome in
+  Format.printf "%a@." Pdw_check.Validate.pp report;
+  if Pdw_check.Validate.ok report then 0 else 2
 
 let cmd_explain name ledger method_ cell_opt wash_opt obs =
   with_obs obs @@ fun () ->
@@ -480,19 +430,15 @@ let cmd_explain name ledger method_ cell_opt wash_opt obs =
     | None, None ->
       Error "explain: give a BENCHMARK to re-run, or --ledger FILE"
     | None, Some name -> (
-      match load name with
-      | Error (`Msg m) -> Error m
-      | Ok b ->
-        (* Re-run the planner with the ledger on; start it clean so wash
-           ordinals are stable regardless of the surrounding flags. *)
-        Events.set_enabled true;
-        Events.reset ();
-        let s = Engine.synthesize_benchmark name b in
-        let outcome =
-          match method_ with
-          | `Pdw -> Pdw.optimize s
-          | `Dawo -> Dawo.optimize s
-        in
+      (* Re-run the planner with the ledger on; start it clean so wash
+         ordinals are stable regardless of the surrounding flags. *)
+      Events.set_enabled true;
+      Events.reset ();
+      let spec = spec_of ~method_ name in
+      match Engine.synthesize spec with
+      | Error m -> Error m
+      | Ok s ->
+        let outcome = Engine.optimize spec s in
         Ok
           ( Events.events (),
             Some { ctx_name = name; ctx_synthesis = s; ctx_outcome = outcome }

@@ -383,10 +383,11 @@ let all () =
     ("Synthetic3", synthetic_3 ());
   ]
 
+let named () = (("Motivating", motivating ()) :: all ()) @ extra () @ storage ()
+
 let find name =
   let norm = String.lowercase_ascii name in
-  let matches (n, _) = String.equal (String.lowercase_ascii n) norm in
-  match List.find_opt matches (all () @ extra () @ storage ()) with
-  | Some (_, b) -> Some b
-  | None ->
-    if String.equal norm "motivating" then Some (motivating ()) else None
+  List.find_map
+    (fun (n, b) ->
+      if String.equal (String.lowercase_ascii n) norm then Some b else None)
+    (named ())

@@ -76,6 +76,11 @@ val storage_burst : unit -> t
 (** The storage-pressure assays: name, benchmark. *)
 val storage : unit -> (string * t) list
 
-(** [find name] is the benchmark with that Table II name
+(** Every named benchmark, in the order [pdw list] prints them: the
+    motivating example, the Table II rows, the extra protocols and the
+    storage-pressure assays. *)
+val named : unit -> (string * t) list
+
+(** [find name] is the benchmark [named] lists under [name]
     (case-insensitive). *)
 val find : string -> t option

@@ -107,20 +107,8 @@ let quantile t q =
     walk 0 0
   end
 
-let copy t =
-  {
-    t with
-    cells = Array.map (fun c -> Atomic.make (Atomic.get c)) t.cells;
-    total = Atomic.make (Atomic.get t.total);
-    sum_fp = Atomic.make (Atomic.get t.sum_fp);
-  }
-
-let check_mergeable fn a b =
-  if a.cfg <> b.cfg then
-    invalid_arg (Printf.sprintf "Histogram.%s: differing configs" fn)
-
 let merge a b =
-  check_mergeable "merge" a b;
+  if a.cfg <> b.cfg then invalid_arg "Histogram.merge: differing configs";
   {
     a with
     cells =
@@ -128,17 +116,6 @@ let merge a b =
           Atomic.make (Atomic.get a.cells.(i) + Atomic.get b.cells.(i)));
     total = Atomic.make (Atomic.get a.total + Atomic.get b.total);
     sum_fp = Atomic.make (Atomic.get a.sum_fp + Atomic.get b.sum_fp);
-  }
-
-let diff a b =
-  check_mergeable "diff" a b;
-  {
-    a with
-    cells =
-      Array.init (a.n + 2) (fun i ->
-          Atomic.make (max 0 (Atomic.get a.cells.(i) - Atomic.get b.cells.(i))));
-    total = Atomic.make (max 0 (Atomic.get a.total - Atomic.get b.total));
-    sum_fp = Atomic.make (max 0 (Atomic.get a.sum_fp - Atomic.get b.sum_fp));
   }
 
 let buckets t =

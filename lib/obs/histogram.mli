@@ -32,7 +32,7 @@
 type t
 
 (** The bucket scheme: values in [[lo, hi]] resolve within [rel_err]
-    relative error.  Two histograms interoperate ([merge], [diff]) iff
+    relative error.  Two histograms interoperate ([merge]) iff
     their configs are equal. *)
 type config = { lo : float; hi : float; rel_err : float }
 
@@ -67,19 +67,9 @@ val mean : t -> float
     empty. *)
 val quantile : t -> float -> float
 
-(** A consistent-enough copy under concurrent recording (each cell is
-    read atomically; cells may be skewed by in-flight records). *)
-val copy : t -> t
-
 (** Exact bucket-wise sum.  Associative and commutative.
     @raise Invalid_argument on differing configs. *)
 val merge : t -> t -> t
-
-(** [diff a b] is the bucket-wise difference [a - b], clamped at 0 —
-    the histogram of an interval, given cumulative snapshots taken at
-    its two ends ([diff (merge a b) b] = [a] exactly).
-    @raise Invalid_argument on differing configs. *)
-val diff : t -> t -> t
 
 (** Non-empty buckets in increasing value order, as
     [(inclusive upper bound, count)]; the open-ended overflow bucket

@@ -1,34 +1,43 @@
-(** Resolving a service job into the outcome JSON a one-shot run prints.
+(** The planning pipeline, one stage per function: resolve and
+    synthesize, optimize, export.  The daemon's workers run it through
+    {!plan_timed}; every planner subcommand of [pdw] calls the same
+    three stages, so a served plan is byte-identical to the one-shot
+    CLI on the same spec because there is only one pipeline.  Every
+    request synthesizes fresh; repeat-request speed comes from the plan
+    cache above, not from sharing mutable synthesis state between
+    workers. *)
 
-    [plan] follows exactly the pipeline of [pdw run --json] /
-    [pdw optimize-file]: resolve the benchmark (or parse the inline
-    assay), synthesize — the motivating example on its hand-built
-    Fig. 2 layout, everything else on a fresh synthesized chip — then
-    optimize with the requested method and serialize via
-    [Json_export.outcome].  Every job synthesizes fresh, so a served
-    plan is byte-identical to the single-shot CLI on the same spec;
-    repeat-request speed comes from the plan cache above, not from
-    sharing mutable synthesis state between workers. *)
+(** [synthesize spec] resolves the spec's source — a benchmark by name
+    ({!Pdw_assay.Benchmarks.find}, case-insensitive) or an inline
+    assay text — marks its parked operations, and synthesizes the
+    chip: the motivating example on the paper's hand-built Fig. 2(a)
+    layout, everything else on a freshly synthesized one.  [Error] is a
+    user-facing message: an unknown benchmark (naming every benchmark
+    {!Pdw_assay.Benchmarks.named} lists), an assay parse failure, or a
+    rejected park set. *)
+val synthesize : Protocol.spec -> (Pdw_synth.Synthesis.t, string) result
 
-(** [synthesize_benchmark name b] is the synthesis every planner entry
-    point starts from: the motivating example (by [name],
-    case-insensitively) on the paper's hand-built Fig. 2 layout,
-    everything else on a freshly synthesized chip.  [pdw run] and the
-    other one-shot subcommands call it too. *)
-val synthesize_benchmark :
-  string -> Pdw_assay.Benchmarks.t -> Pdw_synth.Synthesis.t
+(** [optimize spec s] plans washes on [s] with the spec's method: PDW
+    under the spec's config, or the DAWO baseline. *)
+val optimize :
+  Protocol.spec -> Pdw_synth.Synthesis.t -> Pdw_wash.Wash_plan.outcome
 
-(** [plan spec] is the outcome JSON text, or a user-facing error
-    (unknown benchmark, assay parse failure).  Never raises for bad
+(** [export outcome] is the outcome JSON text [pdw run --json] prints
+    and a [Plan] reply carries ({!Pdw_wash.Json_export}). *)
+val export : Pdw_wash.Wash_plan.outcome -> string
+
+(** [plan spec] is the three stages in a row: the outcome JSON text, or
+    the user-facing error of {!synthesize}.  Never raises for bad
     input; a planner exception propagates to the caller (the server
     answers it with an error reply at once — the planner is
     deterministic, so retrying would only repeat it). *)
 val plan : Protocol.spec -> (string, string) result
 
 (** [plan] plus the request's own stage timings — monotonic wall
-    milliseconds of the same spans [Trace] aggregates, as
-    [(stage, ms)] in execution order (["synthesize"], then
-    ["optimize"] unless resolution failed).  The server threads these
-    into its per-request [Reqtrace] records. *)
+    milliseconds of the same spans [Trace] aggregates
+    (["service.plan"] around ["service.synthesize"] and
+    ["service.optimize"]), as [(stage, ms)] in execution order
+    (["synthesize"], then ["optimize"] unless synthesis failed).  The
+    server threads these into its per-request [Reqtrace] records. *)
 val plan_timed :
   Protocol.spec -> (string, string) result * (string * float) list

@@ -1,4 +1,4 @@
-(** Daemon processes, as [pdw fleet start] and [bench fleet] run them:
+(** Daemon processes, as [pdw fleet start] and [bench serve] run them:
     spawned from this very executable, awaited until they answer, and
     reaped with a deadline. *)
 

@@ -57,18 +57,15 @@ type config = {
   socket_path : string;
   shard_sockets : string list;
   vnodes : int;
-  max_retries : int;
-  reconnect_ms : int;
 }
 
 let default_config ~socket_path ~shard_sockets =
-  {
-    socket_path;
-    shard_sockets;
-    vnodes = 64;
-    max_retries = 3;
-    reconnect_ms = 500;
-  }
+  { socket_path; shard_sockets; vnodes = 64 }
+
+(* Re-forwards of one request after its shard dies mid-flight, and the
+   period at which down shards are probed for reconnection. *)
+let max_retries = 3
+let reconnect_s = 0.5
 
 (* --- backends -------------------------------------------------------- *)
 
@@ -86,18 +83,22 @@ type waiter = {
   w_c : Condition.t;
 }
 
-(* One persistent pipelined connection.  [qlock] guards the waiter
-   queue, the write side and [alive] together: a frame is enqueued and
-   written under the same lock, so queue order is wire order, and the
+(* One persistent pipelined connection.  [wlock] is held across a
+   frame's enqueue and its write, so queue order is wire order, and the
    backend answers a connection's frames strictly in sequence — the
    reader thread fulfils waiters in pop order with no request ids on
-   the wire at all. *)
+   the wire at all.  [qlock] guards only the waiter queue and [alive],
+   and is never held across a socket write: a reader that needed the
+   write side's lock could not drain replies while a write blocked, the
+   shard would stop reading once its replies backed up, and neither
+   side would move again. *)
 type conn = {
   fd : Unix.file_descr;
   rd : Wire.Buffered.t;
   mutable alive : bool;
   waiters : waiter Queue.t;
   qlock : Mutex.t;
+  wlock : Mutex.t;
 }
 
 type backend_state = Connected of conn | Down of string
@@ -247,6 +248,7 @@ let connect_backend t b =
               alive = true;
               waiters = Queue.create ();
               qlock = Mutex.create ();
+              wlock = Mutex.create ();
             }
           in
           Mutex.lock b.b_lock;
@@ -276,34 +278,35 @@ let try_connect t b =
     false
 
 (* Forward one raw request frame: enqueue the waiter and write under
-   the same lock.  [Error `Down] sends the caller back to the ring. *)
+   [wlock].  [Error `Down] sends the caller back to the ring. *)
 let forward_to t b raw =
   match b.b_state with
   | Down _ -> Error `Down
-  | Connected c -> (
+  | Connected c ->
+    let w =
+      { w_state = `Waiting; w_m = Mutex.create (); w_c = Condition.create () }
+    in
+    Mutex.lock c.wlock;
     Mutex.lock c.qlock;
-    if not c.alive then begin
-      Mutex.unlock c.qlock;
-      Error `Down
+    let alive = c.alive in
+    if alive then Queue.push w c.waiters;
+    Mutex.unlock c.qlock;
+    let sent =
+      alive
+      && match Wire.write_frame c.fd raw with () -> true | exception _ -> false
+    in
+    Mutex.unlock c.wlock;
+    if sent then begin
+      Atomic.incr t.c_forwarded;
+      Atomic.incr b.b_forwarded;
+      Ok w
     end
     else begin
-      let w =
-        { w_state = `Waiting; w_m = Mutex.create (); w_c = Condition.create () }
-      in
-      Queue.push w c.waiters;
-      match Wire.write_frame c.fd raw with
-      | () ->
-        Mutex.unlock c.qlock;
-        Atomic.incr t.c_forwarded;
-        Atomic.incr b.b_forwarded;
-        Ok w
-      | exception _ ->
-        (* The frame never (fully) left; this waiter is the newest, and
-           the connection is broken for everyone — fail it over. *)
-        Mutex.unlock c.qlock;
-        mark_down t b "write failed";
-        Error `Down
-    end)
+      (* A frame that never (fully) left breaks the connection for
+         everyone; failing it over also fails this waiter. *)
+      if alive then mark_down t b "write failed";
+      Error `Down
+    end
 
 let backend_of_path t path = Hashtbl.find_opt t.by_path path
 
@@ -338,7 +341,7 @@ let no_live t =
    bytes. *)
 let route t raw digest =
   let rec go visited attempts =
-    if attempts > t.cfg.max_retries then
+    if attempts > max_retries then
       err_frame "shard lost mid-request (retries exhausted)"
     else
       match pick t digest ~visited with
@@ -659,7 +662,7 @@ let dispatch t raw req : unit -> string =
    its next probe, warm from the shared plan store. *)
 let reconnect_loop t =
   while not (Listener.stopping t.listener) do
-    Thread.delay (float_of_int t.cfg.reconnect_ms /. 1000.0);
+    Thread.delay reconnect_s;
     if not (Listener.stopping t.listener) then
       Array.iter
         (fun b ->

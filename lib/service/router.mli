@@ -22,12 +22,16 @@
     mismatches up front — with a write-side FIFO of waiter promises
     and a dedicated reader thread that fulfils them in frame order (the
     daemon answers a connection's frames strictly in sequence, so no
-    request ids are needed on the wire).  A shard death fails its
-    queued waiters, drops the shard from the ring, and re-forwards the
-    affected requests to the next live shard with bounded retries;
-    planning is deterministic and idempotent, so a kill mid-campaign
-    costs replans, never wrong or lost answers.  A reconnector thread
-    probes down shards and re-rings them in when they return.
+    request ids are needed on the wire).  Writers serialize on a lock
+    of their own, held across a frame's enqueue and its write; the
+    reader never waits on it, so replies drain while a write blocks
+    and pipelined load cannot deadlock router and shard.  A shard death
+    fails its queued waiters, drops the shard from the ring, and
+    re-forwards the affected requests to the next live shard, at most
+    three times; planning is deterministic and idempotent, so a kill
+    mid-campaign costs replans, never wrong or lost answers.  A
+    reconnector thread probes down shards every 0.5 s and re-rings them
+    in when they return.
 
     The client-facing socket is the {!Listener} a shard daemon runs too:
     a pipelined batch is forwarded whole before any reply is awaited.
@@ -64,9 +68,6 @@ type config = {
   socket_path : string;  (** the front-end listening socket *)
   shard_sockets : string list;  (** one daemon socket per shard process *)
   vnodes : int;  (** ring points per shard (default 64) *)
-  max_retries : int;
-      (** re-forwards after a shard dies mid-request (default 3) *)
-  reconnect_ms : int;  (** down-shard probe period (default 500) *)
 }
 
 val default_config :

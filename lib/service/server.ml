@@ -93,19 +93,6 @@ let snapshot_counts t =
   Mutex.unlock t.counts_lock;
   copy
 
-type telemetry = {
-  latency : Histogram.t;
-  queue_wait : Histogram.t;
-  service : Histogram.t;
-}
-
-let telemetry t =
-  {
-    latency = Histogram.copy t.h_latency;
-    queue_wait = Histogram.copy t.h_queue;
-    service = Histogram.copy t.h_service;
-  }
-
 let stats_json t =
   let c = snapshot_counts t in
   let cache = Plan_cache.stats t.cache in

@@ -74,8 +74,12 @@ val config : t -> config
 val handle : t -> Protocol.request -> Protocol.reply
 
 (** The [stats] payload: queue depth and limit, shed count, cache
-    counters and hit rate, request tallies, and p50/p95/p99 of the
-    latency, queue-wait and service histograms. *)
+    counters and hit rate, request tallies, and the sample count, mean
+    and p50/p95/p99 of three cumulative histograms, all in
+    milliseconds: [latency_ms] (submit wall time, accept to reply),
+    [queue_wait_ms] (admission to worker pickup) and [service_ms]
+    (worker compute time per job).  The serve bench runs each campaign
+    on a fresh daemon, so these read as that campaign's own. *)
 val stats_json : t -> Pdw_obs.Json.t
 
 (** The scrape surface: Prometheus text exposition of every counter,
@@ -85,20 +89,6 @@ val stats_json : t -> Pdw_obs.Json.t
     [lp.*] counters).  Served for the [metrics] protocol verb and
     [pdw stats --prometheus]. *)
 val metrics_text : t -> string
-
-(** Copies of the server's cumulative histograms.  [latency] is submit
-    wall time accept to reply; [queue_wait] admission to worker pickup;
-    [service] worker compute time per job — all in milliseconds.
-    Snapshot two and {!Pdw_obs.Histogram.diff} them for an interval
-    view (the serve bench reports per-campaign queue-wait vs
-    service-time this way). *)
-type telemetry = {
-  latency : Pdw_obs.Histogram.t;
-  queue_wait : Pdw_obs.Histogram.t;
-  service : Pdw_obs.Histogram.t;
-}
-
-val telemetry : t -> telemetry
 
 (** The most recent finished submits (bounded ring, newest first):
     request id, digest, outcome, and the stage-by-stage timing

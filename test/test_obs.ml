@@ -799,15 +799,6 @@ let prop_histogram_merge_assoc =
         (Histogram.merge (Histogram.merge a b) c)
         (Histogram.merge a (Histogram.merge b c)))
 
-(* Interval snapshots rest on this: the histogram of [a]'s records is
-   recoverable exactly from cumulative snapshots taken around them. *)
-let prop_histogram_diff_inverts_merge =
-  QCheck2.Test.make ~name:"Histogram.diff (merge a b) b = a" ~count:100
-    QCheck2.Gen.(pair hist_values_gen hist_values_gen)
-    (fun (xs, ys) ->
-      let a = hist_of xs and b = hist_of ys in
-      hist_equal (Histogram.diff (Histogram.merge a b) b) a)
-
 (* --- the monotonic clock --- *)
 
 let test_clock_monotone () =
@@ -1103,7 +1094,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_histogram_quantile_oracle;
           QCheck_alcotest.to_alcotest prop_histogram_merge_commutes;
           QCheck_alcotest.to_alcotest prop_histogram_merge_assoc;
-          QCheck_alcotest.to_alcotest prop_histogram_diff_inverts_merge;
         ] );
       ( "expo",
         [

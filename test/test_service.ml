@@ -243,6 +243,34 @@ let test_protocol_rejects_bad_park () =
       (contains ~needle:"park" m)
   | Ok _ -> Alcotest.fail "accepted a negative op id"
 
+(* Every name [pdw list] prints resolves through the engine's synthesis
+   stage — the motivating example onto the hand-built Fig. 2(a) chip,
+   every other one onto a synthesized chip — and an unknown name comes
+   back as an error that names them all. *)
+let test_engine_resolves_every_benchmark () =
+  let module Layout = Pdw_biochip.Layout in
+  let fig2 = Layout.render (Pdw_biochip.Layout_builder.fig2_layout ()) in
+  let named = Pdw_assay.Benchmarks.named () in
+  List.iter
+    (fun (name, _) ->
+      match Engine.synthesize (spec_of name) with
+      | Error m -> Alcotest.failf "%s: %s" name m
+      | Ok s ->
+        Alcotest.(check bool)
+          (name ^ " on the Fig. 2(a) chip iff it is the motivating example")
+          (name = "Motivating")
+          (String.equal fig2
+             (Layout.render s.Pdw_synth.Synthesis.layout)))
+    named;
+  match Engine.synthesize (spec_of "nope") with
+  | Ok _ -> Alcotest.fail "an unknown benchmark resolved"
+  | Error m ->
+    List.iter
+      (fun (name, _) ->
+        Alcotest.(check bool) ("error names " ^ name) true
+          (contains ~needle:name m))
+      named
+
 (* Parking through the engine: a parked spec plans successfully and its
    outcome differs from the storage-free plan of the same assay, while
    a bad op id comes back as a typed error, not a worker crash. *)
@@ -1140,24 +1168,20 @@ let test_server_metrics () =
   Alcotest.(check bool) "latency sum is positive" true
     (get "pdw_request_latency_ms_sum" > 0.0)
 
-(* The server-side telemetry APIs behind the bench's per-campaign
-   breakdown: interval histograms via diff of cumulative snapshots, and
-   the recent-requests ring with its stage breakdowns. *)
+(* The server-side telemetry behind the serve bench's per-campaign
+   breakdown: the stats snapshot's histograms, read on a fresh daemon as
+   that campaign's own, and the recent-requests ring with its stage
+   breakdowns. *)
 let test_server_telemetry_and_ring () =
   with_server @@ fun path srv ->
   Client.with_client path @@ fun c ->
-  let module H = Pdw_obs.Histogram in
   let module R = Pdw_obs.Reqtrace in
-  let before = Server.telemetry srv in
   let _ = submit_ok c (spec_of "pcr") in
   let _ = submit_ok c (spec_of "pcr") in
-  let after = Server.telemetry srv in
-  let interval = H.diff after.Server.latency before.Server.latency in
-  Alcotest.(check int) "two plan replies in the interval" 2 (H.count interval);
-  Alcotest.(check int) "one planner job serviced" 1
-    (H.count after.Server.service);
-  Alcotest.(check int) "one queue wait recorded" 1
-    (H.count after.Server.queue_wait);
+  let samples name = jint_stats srv [ name; "samples" ] in
+  Alcotest.(check int) "two plan replies timed" 2 (samples "latency_ms");
+  Alcotest.(check int) "one planner job serviced" 1 (samples "service_ms");
+  Alcotest.(check int) "one queue wait recorded" 1 (samples "queue_wait_ms");
   match Server.recent_requests srv with
   | [ hit; planned ] ->
     Alcotest.(check bool) "newest record is the cache hit" true
@@ -1743,6 +1767,54 @@ let test_router_loadgen_seeded () =
   Alcotest.(check (option int)) "summary carries the seed" (Some 7)
     s.Loadgen.seed
 
+(* Pipelined load through the router faster than one shard answers it:
+   eight clients, 32 requests in flight each, against one shard of two
+   workers.  If the router's reply reader waited on the write side's
+   lock, it would deadlock here against a shard blocked writing
+   replies, and a deadlocked router cannot be stopped either — so the
+   campaign runs on its own thread, and a watchdog fails the test,
+   without teardown, rather than hang the suite. *)
+let test_router_pipelined_no_deadlock () =
+  let shard_socket = fresh_socket () in
+  let shard =
+    Server.start
+      { (Server.default_config ~socket_path:shard_socket) with workers = 2 }
+  in
+  let router =
+    Router.start
+      (Router.default_config ~socket_path:(fresh_socket ())
+         ~shard_sockets:[ shard_socket ])
+  in
+  let path = (Router.config router).Router.socket_path in
+  let result = Atomic.make None in
+  ignore
+    (Thread.create
+       (fun () ->
+         Atomic.set result
+           (Some
+              (match
+                 Loadgen.run ~socket_path:path ~clients:8 ~per_client:512
+                   ~warmup:64 ~pipeline:32 ~seed:424242 ~verify:true
+                   [ spec_of "pcr"; spec_of "ivd"; spec_of "proteinsplit" ]
+               with
+              | s -> Ok s
+              | exception e -> Error (Printexc.to_string e))))
+       ());
+  let deadline = Unix.gettimeofday () +. 30.0 in
+  while Atomic.get result = None && Unix.gettimeofday () < deadline do
+    Thread.delay 0.05
+  done;
+  match Atomic.get result with
+  | None -> Alcotest.fail "pipelined campaign through the router hung for 30 s"
+  | Some r ->
+    Router.stop router;
+    Server.stop shard;
+    let s = match r with Ok s -> s | Error m -> Alcotest.fail m in
+    Alcotest.(check int) "every request answered with a plan" 4096
+      s.Loadgen.plans;
+    Alcotest.(check int) "no mismatches" 0 s.Loadgen.mismatches;
+    Alcotest.(check int) "no errors" 0 s.Loadgen.errors
+
 (* --- the one front end, on both daemons --- *)
 
 let with_raw_conn path f =
@@ -1917,6 +1989,8 @@ let () =
             test_protocol_rejects_bad_park;
           Alcotest.test_case "engine applies the park set" `Quick
             test_engine_park;
+          Alcotest.test_case "every listed benchmark synthesizes" `Quick
+            test_engine_resolves_every_benchmark;
           QCheck_alcotest.to_alcotest prop_reply_of_string_inverse;
           QCheck_alcotest.to_alcotest prop_reply_of_string_damaged;
           Alcotest.test_case "every other reply round-trips from a string" `Quick
@@ -2007,6 +2081,8 @@ let () =
             test_router_end_to_end;
           Alcotest.test_case "seeded verified campaign through the fleet"
             `Slow test_router_loadgen_seeded;
+          Alcotest.test_case "pipelined load never deadlocks the router"
+            `Slow test_router_pipelined_no_deadlock;
         ] );
       ( "front end",
         [
