@@ -67,53 +67,12 @@ let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b
 
-let cap = 1_000_000
-let buf : t array ref = ref [||]
-let buf_len = ref 0
-let dropped_count = ref 0
-let lock = Mutex.create ()
-
-let emit ev =
-  if Atomic.get enabled_flag then begin
-    Mutex.lock lock;
-    if !buf_len >= cap then incr dropped_count
-    else begin
-      let n = Array.length !buf in
-      if !buf_len >= n then begin
-        let bigger = Array.make (max 256 (min cap (2 * n))) ev in
-        Array.blit !buf 0 bigger 0 n;
-        buf := bigger
-      end;
-      !buf.(!buf_len) <- ev;
-      incr buf_len
-    end;
-    Mutex.unlock lock
-  end
-
-let events () =
-  Mutex.lock lock;
-  let l = Array.to_list (Array.sub !buf 0 !buf_len) in
-  Mutex.unlock lock;
-  l
-
-let num_events () =
-  Mutex.lock lock;
-  let n = !buf_len in
-  Mutex.unlock lock;
-  n
-
-let dropped () =
-  Mutex.lock lock;
-  let n = !dropped_count in
-  Mutex.unlock lock;
-  n
-
-let reset () =
-  Mutex.lock lock;
-  buf := [||];
-  buf_len := 0;
-  dropped_count := 0;
-  Mutex.unlock lock
+let sink : t Sink.t = Sink.create ()
+let emit ev = if Atomic.get enabled_flag then Sink.add sink ev
+let events () = Sink.to_list sink
+let num_events () = Sink.length sink
+let dropped () = Sink.dropped sink
+let reset () = Sink.reset sink
 
 (* The ambient round is domain-local: a pooled harness runs one planner
    per domain, so each worker keeps its own round without locking. *)

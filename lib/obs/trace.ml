@@ -14,7 +14,7 @@ type event = {
 let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag
 
-let clock = Atomic.make Unix.gettimeofday
+let clock = Atomic.make Clock.now
 let set_clock f = Atomic.set clock f
 let now () = (Atomic.get clock) ()
 
@@ -25,54 +25,12 @@ let set_enabled b =
   if b && not (Atomic.get enabled_flag) then Atomic.set epoch_ref (now ());
   Atomic.set enabled_flag b
 
-(* Finished events: a shared growable buffer behind a mutex.  Capped so
-   a pathological run cannot exhaust memory; overflow is counted, never
-   silent. *)
-let cap = 1_000_000
-let buf : event array ref = ref [||]
-let buf_len = ref 0
-let dropped_count = ref 0
-let lock = Mutex.create ()
-
-let record ev =
-  Mutex.lock lock;
-  if !buf_len >= cap then incr dropped_count
-  else begin
-    let n = Array.length !buf in
-    if !buf_len >= n then begin
-      let bigger = Array.make (max 256 (min cap (2 * n))) ev in
-      Array.blit !buf 0 bigger 0 n;
-      buf := bigger
-    end;
-    !buf.(!buf_len) <- ev;
-    incr buf_len
-  end;
-  Mutex.unlock lock
-
-let events () =
-  Mutex.lock lock;
-  let l = Array.to_list (Array.sub !buf 0 !buf_len) in
-  Mutex.unlock lock;
-  l
-
-let num_events () =
-  Mutex.lock lock;
-  let n = !buf_len in
-  Mutex.unlock lock;
-  n
-
-let dropped () =
-  Mutex.lock lock;
-  let n = !dropped_count in
-  Mutex.unlock lock;
-  n
-
-let reset () =
-  Mutex.lock lock;
-  buf := [||];
-  buf_len := 0;
-  dropped_count := 0;
-  Mutex.unlock lock
+(* Finished events, shared by every domain. *)
+let sink : event Sink.t = Sink.create ()
+let events () = Sink.to_list sink
+let num_events () = Sink.length sink
+let dropped () = Sink.dropped sink
+let reset () = Sink.reset sink
 
 (* The open-span stack of the current domain (innermost first). *)
 let stack_key : string list Domain.DLS.key =
@@ -99,7 +57,7 @@ let with_span ?(cat = "") ?(args = []) name f =
         let _, _, major1 = Gc.counters () in
         Domain.DLS.set stack_key stack;
         if Atomic.get enabled_flag then
-          record
+          Sink.add sink
             {
               name;
               cat;

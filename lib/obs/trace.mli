@@ -1,21 +1,22 @@
 (** Hierarchical timed spans.
 
     A span measures one dynamic extent — a solver phase, a simplex
-    solve, a router flush — with a wall-clock start and duration, the id
-    of the domain that ran it, and the stack of enclosing span names
-    (its path), so exports can reconstruct the call tree even across
-    [Domain_pool] fan-out.
+    solve, a router flush — with a start and duration on the monotonic
+    {!Clock}, the id of the domain that ran it, and the stack of
+    enclosing span names (its path), so exports can reconstruct the
+    call tree even across [Domain_pool] fan-out.
 
     Tracing is off by default and every probe is a no-op sink behind a
     single atomic-flag check, so instrumented code paths stay
     byte-identical in behaviour and effectively free when disabled.
-    Span stacks are domain-local; the finished-event buffer is shared
-    and mutex-protected. *)
+    Span stacks are domain-local; finished spans go to one shared
+    {!Sink}. *)
 
 (** One finished span.  [ts] and [dur] are seconds on the trace clock
-    ([ts] is absolute; subtract [epoch] for trace-relative time);
-    [path] is the enclosing span names root-first, ending in [name];
-    [tid] is the integer id of the domain that ran the span. *)
+    ([ts] counts from the clock's arbitrary origin; subtract [epoch] for
+    trace-relative time); [path] is the enclosing span names
+    root-first, ending in [name]; [tid] is the integer id of the domain
+    that ran the span. *)
 type event = {
   name : string;
   cat : string;  (** coarse subsystem tag, e.g. ["lp"], ["synth"] *)
@@ -39,7 +40,7 @@ val enabled : unit -> bool
     direction clears previously recorded events (use [reset]). *)
 val set_enabled : bool -> unit
 
-(** Wall-clock time at which recording was last enabled; Chrome-trace
+(** Trace-clock time at which recording was last enabled; Chrome-trace
     timestamps are reported relative to this. *)
 val epoch : unit -> float
 
@@ -62,6 +63,6 @@ val dropped : unit -> int
 (** Discard all recorded events and the drop count. *)
 val reset : unit -> unit
 
-(** Replace the clock (default [Unix.gettimeofday]); for deterministic
-    tests. *)
+(** Replace the clock (default {!Clock.now}, monotonic seconds); for
+    deterministic tests. *)
 val set_clock : (unit -> float) -> unit

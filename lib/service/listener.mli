@@ -6,12 +6,14 @@
     what it releases on the way down ([teardown]).
 
     The frame loop dispatches every frame one [read] syscall delivered
-    ({!Wire.Buffered}) before any reply is resolved, so a router's
-    forwards of a pipelined batch overlap on the shards; the replies
-    leave in frame order in one write ({!Wire.Batch}), flushed early
-    past 256 KiB.  A frame that is not a request gets an [Error] reply
-    and the connection reads on; a framing error is answered and the
-    connection dropped.  A [shutdown] is answered [Bye], ends the batch
+    ({!Wire.Buffered}) before any reply is resolved, so the work of a
+    pipelined batch overlaps — a server's jobs on its workers, a
+    router's forwards on the shards; the replies leave in frame order
+    in one write ({!Wire.Batch}), flushed early past 256 KiB.  Frames
+    that arrive while a batch resolves wait for the next batch.  A
+    frame that is not a request gets an [Error] reply and the
+    connection reads on; a framing error is answered and the connection
+    dropped.  A [shutdown] is answered [Bye], ends the batch
     (no later frame is dispatched) and stops the daemon once flushed. *)
 
 type t

@@ -85,7 +85,7 @@ type waiter = {
 
 (* One persistent pipelined connection.  [wlock] is held across a
    frame's enqueue and its write, so queue order is wire order, and the
-   backend answers a connection's frames strictly in sequence — the
+   backend's replies leave in its connection's frame order — the
    reader thread fulfils waiters in pop order with no request ids on
    the wire at all.  [qlock] guards only the waiter queue and [alive],
    and is never held across a socket write: a reader that needed the
@@ -122,7 +122,7 @@ type t = {
   c_retries : int Atomic.t;
   c_rerings : int Atomic.t;
   c_no_shard : int Atomic.t;
-  burn_rr : int Atomic.t;
+  burn_seq : int Atomic.t;  (* burns forwarded, their ring key *)
   started_at : float;
   listener : Listener.t;  (* front-end socket, connections and lifecycle *)
 }
@@ -310,9 +310,9 @@ let forward_to t b raw =
 
 let backend_of_path t path = Hashtbl.find_opt t.by_path path
 
-(* Pick the shard for [digest]: the cached ring normally, an ad-hoc
-   ring over the still-untried live shards on the (rare) retry path. *)
-let pick t digest ~visited =
+(* Pick the shard for [key]: the cached ring normally, an ad-hoc ring
+   over the still-untried live shards on the (rare) retry path. *)
+let pick t key ~visited =
   let ring =
     if visited = [] then begin
       Mutex.lock t.ring_lock;
@@ -326,7 +326,7 @@ let pick t digest ~visited =
           (List.filter (fun p -> not (List.mem p visited)) (live_paths t))
         ~vnodes:t.cfg.vnodes
   in
-  Option.bind (Ring.lookup ring digest) (backend_of_path t)
+  Option.bind (Ring.lookup ring key) (backend_of_path t)
 
 let err_frame msg = Protocol.reply_to_string (Protocol.Error msg)
 
@@ -334,50 +334,36 @@ let no_live t =
   Atomic.incr t.c_no_shard;
   err_frame "no live shard available"
 
-(* Route one digest-keyed raw frame with bounded retry + re-ring: a
-   shard that dies mid-flight fails the waiter, and the frame
-   re-forwards to the next live shard on the ring.  Safe because
-   planning is deterministic: a duplicate submit returns the same
-   bytes. *)
-let route t raw digest =
-  let rec go visited attempts =
-    if attempts > max_retries then
-      err_frame "shard lost mid-request (retries exhausted)"
-    else
-      match pick t digest ~visited with
-      | None -> no_live t
-      | Some b -> (
-        let t0 = Clock.now_ms () in
-        match forward_to t b raw with
-        | Error `Down -> go (b.b_path :: visited) attempts
-        | Ok w -> (
-          match await w with
-          | `Reply r ->
-            Histogram.record b.h_forward (Clock.now_ms () -. t0);
-            r
-          | `Lost | `Waiting ->
-            Atomic.incr t.c_retries;
-            go (b.b_path :: visited) (attempts + 1)))
-  in
-  go [] 0
-
-(* Burns carry no digest: round-robin over live backends. *)
-let route_burn t raw =
-  let live = live_paths t in
-  match live with
-  | [] -> no_live t
-  | _ -> (
-    let k = Atomic.fetch_and_add t.burn_rr 1 in
-    let path = List.nth live (k mod List.length live) in
-    match backend_of_path t path with
-    | None -> no_live t
+(* Forward one raw frame to the shard [key] maps to, now, and return
+   the resolver that awaits its reply.  A shard found down here is
+   skipped at once; one that dies before answering fails the waiter,
+   and the resolver re-forwards the frame to the next live shard on the
+   ring, at most [max_retries] times.  Safe because planning is
+   deterministic: a duplicate submit returns the same bytes. *)
+let forward t raw key : unit -> string =
+  let rec send visited =
+    match pick t key ~visited with
+    | None -> Error (no_live t)
     | Some b -> (
       match forward_to t b raw with
-      | Error `Down -> no_live t
-      | Ok w -> (
-        match await w with
-        | `Reply r -> r
-        | `Lost | `Waiting -> err_frame "shard lost mid-request")))
+      | Error `Down -> send (b.b_path :: visited)
+      | Ok w -> Ok (b, w, Clock.now_ms (), b.b_path :: visited))
+  in
+  let rec resolve retries = function
+    | Error frame -> frame
+    | Ok (b, w, t0, visited) -> (
+      match await w with
+      | `Reply r ->
+        Histogram.record b.h_forward (Clock.now_ms () -. t0);
+        r
+      | `Lost | `Waiting ->
+        Atomic.incr t.c_retries;
+        if retries >= max_retries then
+          err_frame "shard lost mid-request (retries exhausted)"
+        else resolve (retries + 1) (send visited))
+  in
+  let sent = send [] in
+  fun () -> resolve 0 sent
 
 (* Ask every live shard one question (typed; off the hot path): the
    request is serialized once, and each shard's raw answer is parsed
@@ -616,11 +602,12 @@ let metrics_text t =
 (* Dispatch one request frame.  The request was parsed (requests are
    small — the verb and, for submits, the digest preimage must be known)
    but is *forwarded as the client's own bytes*; the reply comes back as
-   the shard's own bytes.  Digest-keyed work is forwarded now and only
-   awaited at resolve time, so a pipelined batch from one client
-   connection is in flight on the shards concurrently — the router adds
-   a hop, not a serialization point.  The resolver returns the reply
-   frame payload verbatim. *)
+   the shard's own bytes.  Work is forwarded now and only awaited at
+   resolve time, so a pipelined batch from one client connection is in
+   flight on the shards concurrently — the router adds a hop, not a
+   serialization point.  A submit is keyed by its digest; a burn, which
+   has none, by its sequence number, which spreads burns over the
+   ring. *)
 let dispatch t raw req : unit -> string =
   let local reply () = Protocol.reply_to_string (reply ()) in
   match req with
@@ -632,30 +619,9 @@ let dispatch t raw req : unit -> string =
   | Protocol.Hello _ | Protocol.Shutdown ->
     (* The listener answers these itself and never dispatches them. *)
     local (fun () -> Protocol.Error "internal: front-end verb dispatched")
-  | Protocol.Burn _ -> fun () -> route_burn t raw
-  | Protocol.Submit { spec; _ } -> (
-    let digest = Protocol.digest spec in
-    (* First forward happens here (dispatch time); recovery, if the
-       shard dies before answering, happens at resolve time. *)
-    let first =
-      match pick t digest ~visited:[] with
-      | None -> None
-      | Some b -> (
-        match forward_to t b raw with
-        | Error `Down -> None (* raced a death; resolve retries *)
-        | Ok w -> Some (b, w, Clock.now_ms ()))
-    in
-    fun () ->
-      match first with
-      | None -> route t raw digest
-      | Some (b, w, t0) -> (
-        match await w with
-        | `Reply r ->
-          Histogram.record b.h_forward (Clock.now_ms () -. t0);
-          r
-        | `Lost | `Waiting ->
-          Atomic.incr t.c_retries;
-          route t raw digest))
+  | Protocol.Burn _ ->
+    forward t raw (string_of_int (Atomic.fetch_and_add t.burn_seq 1))
+  | Protocol.Submit { spec; _ } -> forward t raw (Protocol.digest spec)
 
 (* Down shards are retried forever at a gentle cadence: a shard that
    restarts (or first comes up after the router) rejoins the ring on
@@ -701,7 +667,7 @@ let start cfg =
       c_retries = Atomic.make 0;
       c_rerings = Atomic.make 0;
       c_no_shard = Atomic.make 0;
-      burn_rr = Atomic.make 0;
+      burn_seq = Atomic.make 0;
       started_at = Unix.gettimeofday ();
       listener;
     }

@@ -21,7 +21,7 @@
     opened with a {!Protocol.Hello} handshake that rejects wire-rev
     mismatches up front — with a write-side FIFO of waiter promises
     and a dedicated reader thread that fulfils them in frame order (the
-    daemon answers a connection's frames strictly in sequence, so no
+    daemon's replies leave in its connection's frame order, so no
     request ids are needed on the wire).  Writers serialize on a lock
     of their own, held across a frame's enqueue and its write; the
     reader never waits on it, so replies drain while a write blocks
@@ -33,8 +33,11 @@
     reconnector thread probes down shards every 0.5 s and re-rings them
     in when they return.
 
-    The client-facing socket is the {!Listener} a shard daemon runs too:
-    a pipelined batch is forwarded whole before any reply is awaited.
+    The client-facing socket is the {!Listener} a shard daemon runs too,
+    with the same dispatch: each request of a pipelined batch is
+    forwarded when its frame is read — a submit to the shard its digest
+    maps to, a burn to the one its sequence number maps to — and
+    awaited, failing over if need be, when its reply is due.
 
     [stats] and [metrics] answer for the whole fleet: per-shard
     snapshots are scraped over the same connections and merged —

@@ -28,13 +28,17 @@ let default_config ~socket_path =
     store_max_bytes = 256 * 1024 * 1024;
   }
 
-(* One planning job, shared by every coalesced waiter.  Waiters poll
-   [state] under [lock] (OCaml's Condition has no timed wait, and the
-   per-request timeout must fire even if the worker never finishes). *)
+(* One job on the worker pool — a plan of a spec, or a burn — shared by
+   every coalesced waiter.  Waiters poll [state] under [lock] (OCaml's
+   Condition has no timed wait, and the per-request timeout must fire
+   even if the worker never finishes). *)
+type work = Plan of Protocol.spec | Burn of int
+
 type job_state = Running | Finished of (string, string) result
 
 type job = {
-  digest : string;
+  key : string option;  (* the digest it is registered and cached under *)
+  work : work;
   enqueued_at : float;  (* [Clock.now_ms] at admission *)
   mutable state : job_state;
   (* Written by the worker under [lock] before [state] flips to
@@ -299,39 +303,25 @@ let recent_requests t = Reqtrace.recent t.ring
 
 (* --- the job machinery ---------------------------------------------- *)
 
-(* Wait for [job] to finish, polling its state until [deadline_ms].
-   1 ms granularity: coarse against planner runtimes, and waiters are
-   systhreads, so the polls just interleave with real work. *)
-let wait_job job ~deadline_ms =
+(* Wait for [job] to finish, polling its state until [deadline_ms]; a
+   wait that runs out counts one timeout.  1 ms granularity: coarse
+   against planner runtimes, and waiters are systhreads, so the polls
+   just interleave with real work. *)
+let wait_job t job ~deadline_ms =
   let rec loop () =
     Mutex.lock job.lock;
     let state = job.state in
     Mutex.unlock job.lock;
     match state with
     | Finished r -> Some r
+    | Running when now_ms () < deadline_ms ->
+      Thread.delay 0.001;
+      loop ()
     | Running ->
-      if now_ms () >= deadline_ms then None
-      else begin
-        Thread.delay 0.001;
-        loop ()
-      end
+      with_counts t (fun c -> c.timeouts <- c.timeouts + 1);
+      None
   in
   loop ()
-
-let new_job digest =
-  {
-    digest;
-    enqueued_at = now_ms ();
-    state = Running;
-    queue_ms = 0.0;
-    stage_ms = [];
-    lock = Mutex.create ();
-  }
-
-let finish_job job result =
-  Mutex.lock job.lock;
-  job.state <- Finished result;
-  Mutex.unlock job.lock
 
 (* [Protocol.reply_to_string] splices outcome text verbatim into the
    wire frame, relying on Json_export's byte-identical parse/print
@@ -346,27 +336,30 @@ let validate_outcome outcome =
   | Error m ->
     Error (Printf.sprintf "internal: plan outcome is not valid JSON: %s" m)
 
-(* The worker side of one submit: plan, publish to the cache, wake the
-   waiters, give the admission slot back.  The planner is deterministic,
-   so an exception is answered at once — a second attempt would only
-   repeat it.  The worker also owns the job's timing story — how long it
-   waited in the queue, how long each engine stage took — written into
-   the job before the result is published, so waiters read both
-   together. *)
-let run_plan_job t job spec ~registered ~cache_write =
+(* The worker side of one job: run it, publish a keyed plan to the
+   cache, wake the waiters, give the admission slot back.  The planner
+   is deterministic, so an exception is answered at once — a second
+   attempt would only repeat it.  The worker also owns the job's timing
+   story — how long it waited in the queue, how long each engine stage
+   took — written into the job before the result is published, so
+   waiters read both together. *)
+let run_job t job =
   let picked_up = now_ms () in
   let queue_ms = Float.max 0.0 (picked_up -. job.enqueued_at) in
   Histogram.record t.h_queue queue_ms;
   let result, stages =
-    match Engine.plan_timed spec with
-    | result -> result
-    | exception e ->
-      (Error ("planner failed: " ^ Printexc.to_string e), [])
+    match job.work with
+    | Burn ms ->
+      Unix.sleepf (float_of_int ms /. 1000.0);
+      (Ok "", [])
+    | Plan spec -> (
+      match Engine.plan_timed spec with
+      | result, stages -> (Result.bind result validate_outcome, stages)
+      | exception e -> (Error ("planner failed: " ^ Printexc.to_string e), []))
   in
-  let result = Result.bind result validate_outcome in
   Histogram.record t.h_service (now_ms () -. picked_up);
-  (match result with
-  | Ok outcome when cache_write -> Plan_cache.add t.cache job.digest outcome
+  (match (job.key, result) with
+  | Some digest, Ok outcome -> Plan_cache.add t.cache digest outcome
   | _ -> ());
   (* Publish before deregistering: a request that finds the job in the
      table just as it finishes reads [Finished] instantly; one that
@@ -376,50 +369,68 @@ let run_plan_job t job spec ~registered ~cache_write =
   job.stage_ms <- stages;
   job.state <- Finished result;
   Mutex.unlock job.lock;
-  if registered then begin
-    Mutex.lock t.jobs_lock;
-    Hashtbl.remove t.jobs job.digest;
-    Mutex.unlock t.jobs_lock
-  end;
+  Option.iter
+    (fun digest ->
+      Mutex.lock t.jobs_lock;
+      Hashtbl.remove t.jobs digest;
+      Mutex.unlock t.jobs_lock)
+    job.key;
   Admission.release t.adm;
   with_counts t (fun c ->
-      match result with
-      | Ok _ -> c.completed <- c.completed + 1
-      | Error _ -> c.errors <- c.errors + 1)
+      match (job.work, result) with
+      | Burn _, _ -> c.burns <- c.burns + 1
+      | Plan _, Ok _ -> c.completed <- c.completed + 1
+      | Plan _, Error _ -> c.errors <- c.errors + 1)
 
-(* Decide, atomically against other submissions, what this request
-   does: join an in-flight twin, start a fresh job, or shed. *)
-type admission_outcome =
-  | Joined of job
-  | Started of job
-  | Refused
-
-let admit_submit t spec digest ~no_cache =
+(* Decide, atomically against other submissions, what a request does:
+   join the in-flight job registered under [key] ([Some (job, true)]),
+   start a fresh job on the pool ([Some (job, false)]), or shed
+   ([None]).  A keyed job is registered for coalescing and writes its
+   plan to the cache; an unkeyed one ([no_cache] plans, burns) does
+   neither. *)
+let admit t ?key work =
   Mutex.lock t.jobs_lock;
-  let outcome =
-    match
-      if no_cache then None else Hashtbl.find_opt t.jobs digest
-    with
-    | Some job -> Joined job
-    | None ->
-      if Admission.try_admit t.adm then begin
-        let job = new_job digest in
-        if not no_cache then Hashtbl.add t.jobs digest job;
-        Domain_pool.submit t.pool (fun () ->
-            run_plan_job t job spec ~registered:(not no_cache)
-              ~cache_write:(not no_cache));
-        Started job
-      end
-      else Refused
+  let admitted =
+    match Option.bind key (Hashtbl.find_opt t.jobs) with
+    | Some job -> Some (job, true)
+    | None when Admission.try_admit t.adm ->
+      let job =
+        {
+          key;
+          work;
+          enqueued_at = now_ms ();
+          state = Running;
+          queue_ms = 0.0;
+          stage_ms = [];
+          lock = Mutex.create ();
+        }
+      in
+      Option.iter (fun digest -> Hashtbl.add t.jobs digest job) key;
+      Domain_pool.submit t.pool (fun () -> run_job t job);
+      Some (job, false)
+    | None -> None
   in
   Mutex.unlock t.jobs_lock;
-  outcome
+  admitted
+
+(* --- dispatch: decide when the frame is read, answer when due ------- *)
+
+(* A reply made now, and one made when it is due. *)
+let answered reply =
+  let s = Protocol.reply_to_string reply in
+  fun () -> s
+
+let later reply () = Protocol.reply_to_string (reply ())
 
 let shed_reply t =
   Protocol.Shed
     { in_flight = Admission.in_flight t.adm; limit = Admission.limit t.adm }
 
-let handle_submit t spec ~no_cache =
+(* A submit is decided here: a cache hit or a shed is answered at once;
+   otherwise the request joins or starts a job, and the resolver waits
+   for it only when the reply is due — so a connection's pipelined cold
+   submits plan side by side. *)
+let dispatch_submit t spec ~no_cache =
   let t0 = now_ms () in
   let id = 1 + Atomic.fetch_and_add t.req_ids 1 in
   let digest = Protocol.digest spec in
@@ -445,34 +456,34 @@ let handle_submit t spec ~no_cache =
     in
     Histogram.record t.h_latency wall_ms;
     note Reqtrace.Hit wall_ms [ ("cache", wall_ms) ];
-    Protocol.Plan
-      { cached = true; coalesced = false; tier; digest; wall_ms; outcome }
+    answered
+      (Protocol.Plan
+         { cached = true; coalesced = false; tier; digest; wall_ms; outcome })
   | None -> (
-    match admit_submit t spec digest ~no_cache with
-    | Refused ->
+    match
+      admit t ?key:(if no_cache then None else Some digest) (Plan spec)
+    with
+    | None ->
       let wall_ms = now_ms () -. t0 in
       note Reqtrace.Shed wall_ms
         [ ("cache", t_cache -. t0); ("admission", wall_ms -. (t_cache -. t0)) ];
-      shed_reply t
-    | (Joined job | Started job) as adm -> (
+      answered (shed_reply t)
+    | Some (job, coalesced) ->
       let t_adm = now_ms () in
-      let coalesced =
-        match adm with Joined _ -> true | _ -> false
-      in
       if coalesced then with_counts t (fun c -> c.coalesced <- c.coalesced + 1);
       let front_stages =
         [ ("cache", t_cache -. t0); ("admission", t_adm -. t_cache) ]
       in
+      later @@ fun () ->
       match
-        wait_job job ~deadline_ms:(t0 +. float_of_int t.cfg.job_timeout_ms)
+        wait_job t job ~deadline_ms:(t0 +. float_of_int t.cfg.job_timeout_ms)
       with
       | None ->
-        with_counts t (fun c -> c.timeouts <- c.timeouts + 1);
         let wall_ms = now_ms () -. t0 in
         note Reqtrace.Timeout wall_ms
           (front_stages @ [ ("wait", wall_ms -. (t_adm -. t0)) ]);
         Protocol.Timeout { after_ms = t.cfg.job_timeout_ms }
-      | Some result ->
+      | Some result -> (
         let t_done = now_ms () in
         let wall_ms = t_done -. t0 in
         (* The job's own breakdown was published under its lock before
@@ -484,7 +495,7 @@ let handle_submit t spec ~no_cache =
           @ job.stage_ms
           @ [ ("wait", t_done -. t_adm) ]
         in
-        (match result with
+        match result with
         | Error m ->
           note Reqtrace.Failed wall_ms stages;
           Protocol.Error m
@@ -501,50 +512,38 @@ let handle_submit t spec ~no_cache =
               digest;
               wall_ms;
               outcome;
-            })))
+            }))
 
-(* [burn] occupies a worker and an admission slot for [ms] — synthetic
-   load with a deterministic duration, for backpressure tests and the
-   serve benchmark's shed scenario. *)
-let handle_burn t ~ms =
-  if Admission.try_admit t.adm then begin
-    let job = new_job "" in
-    Domain_pool.submit t.pool (fun () ->
-        Histogram.record t.h_queue
-          (Float.max 0.0 (now_ms () -. job.enqueued_at));
-        Unix.sleepf (float_of_int ms /. 1000.0);
-        Histogram.record t.h_service (float_of_int ms);
-        finish_job job (Ok "");
-        Admission.release t.adm;
-        with_counts t (fun c -> c.burns <- c.burns + 1));
-    (* A burn waits as long as it burns, plus the normal job timeout for
-       its turn in the queue. *)
-    let deadline_ms =
-      now_ms () +. float_of_int (ms + t.cfg.job_timeout_ms)
-    in
-    match wait_job job ~deadline_ms with
-    | Some _ -> Protocol.Burned { ms }
-    | None ->
-      with_counts t (fun c -> c.timeouts <- c.timeouts + 1);
-      Protocol.Timeout { after_ms = ms + t.cfg.job_timeout_ms }
-  end
-  else shed_reply t
-
-(* --- the socket side --------------------------------------------------- *)
-
-let handle t req =
+(* The daemon's half of the {!Listener} contract, as the router's: work
+   is decided when its frame is read, and everything else — [stats] and
+   [metrics] included, so they see the batch's earlier requests
+   finished — is answered when its reply is due. *)
+let dispatch t req : unit -> string =
   Trace.with_span "service.request" @@ fun () ->
   match req with
-  | Protocol.Ping -> Protocol.Pong
-  | Protocol.Version -> Protocol.Version_reply Version.version
-  | Protocol.Hello { version; rev } -> Listener.hello t.listener ~version ~rev
-  | Protocol.Stats -> Protocol.Stats_reply (stats_json t)
-  | Protocol.Metrics -> Protocol.Metrics_reply (metrics_text t)
-  | Protocol.Shutdown ->
-    Listener.request_stop t.listener;
-    Protocol.Bye
-  | Protocol.Burn { ms } -> handle_burn t ~ms
-  | Protocol.Submit { spec; no_cache } -> handle_submit t spec ~no_cache
+  | Protocol.Ping -> later (fun () -> Protocol.Pong)
+  | Protocol.Version -> later (fun () -> Protocol.Version_reply Version.version)
+  | Protocol.Stats -> later (fun () -> Protocol.Stats_reply (stats_json t))
+  | Protocol.Metrics ->
+    later (fun () -> Protocol.Metrics_reply (metrics_text t))
+  | Protocol.Hello _ | Protocol.Shutdown ->
+    (* The listener answers these itself and never dispatches them. *)
+    later (fun () -> Protocol.Error "internal: front-end verb dispatched")
+  | Protocol.Submit { spec; no_cache } -> dispatch_submit t spec ~no_cache
+  | Protocol.Burn { ms } -> (
+    (* [burn] occupies a worker and an admission slot for [ms] —
+       synthetic load with a deterministic duration, for backpressure
+       tests.  It waits as long as it burns, plus the normal job timeout
+       for its turn in the queue. *)
+    match admit t (Burn ms) with
+    | None -> answered (shed_reply t)
+    | Some (job, _) ->
+      let budget_ms = ms + t.cfg.job_timeout_ms in
+      let deadline_ms = now_ms () +. float_of_int budget_ms in
+      later (fun () ->
+          match wait_job t job ~deadline_ms with
+          | Some _ -> Protocol.Burned { ms }
+          | None -> Protocol.Timeout { after_ms = budget_ms }))
 
 let start cfg =
   (* The daemon is the one place counters are always worth their single
@@ -595,12 +594,10 @@ let start cfg =
       listener;
     }
   in
-  (* Requests are answered in place; teardown stops the pool (running
-     jobs finish, queued jobs die with their waiters). *)
+  (* Teardown stops the pool: running jobs finish, queued jobs die with
+     their waiters. *)
   Listener.serve listener
-    ~dispatch:(fun _raw req ->
-      let s = Protocol.reply_to_string (handle t req) in
-      fun () -> s)
+    ~dispatch:(fun _raw req -> dispatch t req)
     ~teardown:(fun () -> Domain_pool.shutdown t.pool)
     ();
   t

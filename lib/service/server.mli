@@ -27,10 +27,15 @@
     + a waiter that outlives [job_timeout_ms] gets a [timeout] reply;
       the job itself keeps running and still populates the cache.
 
-    The socket side is the {!Listener} the fleet {!Router} also runs:
-    its per-connection frame loop hands each request to {!handle},
-    which answers in place, and batches the replies into one write per
-    pipelined batch.  Worker domains never touch a socket.
+    The socket side is the {!Listener} the fleet {!Router} also runs,
+    with the router's dispatch: a submit is decided when its frame is
+    read (the steps above up to the queue), and its job is awaited only
+    when its reply is due, so a connection's pipelined cold submits
+    plan side by side — each takes its own admission slot, and a
+    pipeline deeper than [queue_limit] can be shed.  [ping], [version],
+    [stats] and [metrics] are answered when their reply is due, so a
+    pipelined [stats] sees the batch's earlier requests finished.
+    Worker domains never touch a socket.
 
     Served outcomes are byte-identical to [pdw run --json] on the same
     spec: workers run the same synthesis/optimize/serialize pipeline
@@ -67,11 +72,6 @@ type t
 val start : config -> t
 
 val config : t -> config
-
-(** Handle one request in-process, exactly as a connection would — the
-    unit-testable core of the daemon.  [Hello] gets {!Listener.hello};
-    [Shutdown] replies [Bye] and initiates [stop] asynchronously. *)
-val handle : t -> Protocol.request -> Protocol.reply
 
 (** The [stats] payload: queue depth and limit, shed count, cache
     counters and hit rate, request tallies, and the sample count, mean

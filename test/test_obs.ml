@@ -28,7 +28,7 @@ let with_obs f () =
       Trace.set_enabled false;
       Counters.set_enabled false;
       Events.set_enabled false;
-      Trace.set_clock Unix.gettimeofday;
+      Trace.set_clock Clock.now;
       Trace.reset ();
       Counters.reset ();
       Events.reset ())
@@ -127,6 +127,23 @@ let test_disabled_records_nothing () =
   Alcotest.(check int) "result still returned" 17 r;
   Alcotest.(check int) "no events" 0 (Trace.num_events ());
   Alcotest.(check int) "counter untouched" before (Counters.value c)
+
+(* The one buffer behind spans and ledger events: it keeps append
+   order, stops storing at one million items and counts every item past
+   that, and a reset empties it and zeroes the count. *)
+let test_sink_cap () =
+  let module Sink = Pdw_obs.Sink in
+  let s = Sink.create () in
+  for i = 1 to 1_000_005 do
+    Sink.add s i
+  done;
+  Alcotest.(check int) "stored up to the cap" 1_000_000 (Sink.length s);
+  Alcotest.(check int) "the rest counted as dropped" 5 (Sink.dropped s);
+  Sink.reset s;
+  Alcotest.(check (pair int int)) "reset empties and zeroes" (0, 0)
+    (Sink.length s, Sink.dropped s);
+  List.iter (Sink.add s) [ 3; 1; 2 ];
+  Alcotest.(check (list int)) "append order" [ 3; 1; 2 ] (Sink.to_list s)
 
 (* --- counters --- *)
 
@@ -1044,6 +1061,8 @@ let () =
             (with_obs test_disabled_records_nothing);
           Alcotest.test_case "a span counts its own domain's words" `Quick
             (with_obs test_span_words_own_domain);
+          Alcotest.test_case "one capped buffer, drops counted" `Quick
+            test_sink_cap;
         ] );
       ( "counters",
         [

@@ -614,15 +614,15 @@ let submit_ok c spec =
 
 (* An integer field of the in-process stats snapshot, by path. *)
 let jint_stats srv path =
-  match Server.handle srv Protocol.Stats with
-  | Protocol.Stats_reply j -> (
-    let field =
-      List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some j) path
-    in
-    match Option.bind field Json.to_int with
-    | Some i -> i
-    | None -> Alcotest.failf "stats field %s" (String.concat "." path))
-  | _ -> Alcotest.fail "expected a stats reply"
+  let field =
+    List.fold_left
+      (fun j k -> Option.bind j (Json.member k))
+      (Some (Server.stats_json srv))
+      path
+  in
+  match Option.bind field Json.to_int with
+  | Some i -> i
+  | None -> Alcotest.failf "stats field %s" (String.concat "." path)
 
 let test_server_plan_and_cache () =
   with_server @@ fun path _srv ->
@@ -667,7 +667,7 @@ let test_client_hit_words () =
     Alcotest.failf "a cache hit allocated %.0f minor words on the client" words
 
 let test_server_simple_ops () =
-  with_server @@ fun path srv ->
+  with_server @@ fun path _srv ->
   Client.with_client path @@ fun c ->
   (match Client.request c Protocol.Ping with
   | Ok Protocol.Pong -> ()
@@ -677,10 +677,6 @@ let test_server_simple_ops () =
     Alcotest.(check string) "version matches the library"
       Pdw_service.Version.version v
   | _ -> Alcotest.fail "version");
-  (* The in-process [handle] answers identically to the socket path. *)
-  (match Server.handle srv Protocol.Ping with
-  | Protocol.Pong -> ()
-  | _ -> Alcotest.fail "in-process ping");
   match Client.request c Protocol.Stats with
   | Ok (Protocol.Stats_reply j) ->
     let member_keys =
@@ -846,13 +842,16 @@ let test_server_pipelined () =
   | [ Ok Protocol.Pong;
       Ok (Protocol.Plan { outcome = o1; _ });
       Ok (Protocol.Version_reply _);
-      Ok (Protocol.Plan { cached; outcome = o2; _ });
+      Ok (Protocol.Plan { cached; coalesced; outcome = o2; _ });
     ] ->
     Alcotest.(check string) "first plan byte-identical" expected o1;
     Alcotest.(check string) "second plan byte-identical" expected o2;
-    (* Same connection, requests processed in order: by the time the
-       duplicate runs, the first outcome is in the cache. *)
-    Alcotest.(check bool) "duplicate in the same batch hits" true cached
+    (* The batch is dispatched before any reply is resolved: the
+       duplicate finds the first submit's job still running and joins
+       it. *)
+    Alcotest.(check (pair bool bool))
+      "duplicate in the same batch joins the first" (false, true)
+      (cached, coalesced)
   | replies ->
     Alcotest.failf "unexpected replies: %s"
       (String.concat "; "
@@ -861,6 +860,38 @@ let test_server_pipelined () =
               | Ok r -> Json.to_string (Protocol.reply_to_json r)
               | Error m -> "error " ^ m)
             replies))
+
+(* One connection's pipelined cold submits plan side by side: each is
+   admitted when its frame is read, so the worker pool sees them
+   together instead of one at a time. *)
+let test_server_pipelined_cold () =
+  with_server ~workers:2 @@ fun path srv ->
+  let names = [ "pcr"; "ivd"; "pcr"; "ivd" ] in
+  let replies =
+    Client.with_client path @@ fun c ->
+    Client.request_many c
+      (List.map
+         (fun n -> Protocol.Submit { spec = spec_of n; no_cache = true })
+         names)
+  in
+  List.iter2
+    (fun name reply ->
+      match reply with
+      | Ok (Protocol.Plan { cached = false; outcome; _ }) ->
+        let expected =
+          match Engine.plan (spec_of name) with
+          | Ok o -> o
+          | Error m -> Alcotest.fail m
+        in
+        Alcotest.(check string) (name ^ " byte-identical") expected outcome
+      | Ok r ->
+        Alcotest.failf "%s: expected a planned reply, got %s" name
+          (Json.to_string (Protocol.reply_to_json r))
+      | Error m -> Alcotest.fail m)
+    names replies;
+  let peak = jint_stats srv [ "queue"; "depth_peak" ] in
+  if peak < 2 then
+    Alcotest.failf "pipelined cold submits reached a queue depth of %d" peak
 
 (* A batch far bigger than the client's chunking threshold: the client
    must interleave writes and reads (unbounded write-before-read can
@@ -955,11 +986,7 @@ let test_server_stats_consistency () =
       (jint cache "hits" + jint cache "misses" <= jint requests "submitted"
       && jint requests "completed" <= jint requests "submitted")
   in
-  let stats () =
-    match Server.handle srv Protocol.Stats with
-    | Protocol.Stats_reply s -> s
-    | _ -> Alcotest.fail "expected a stats reply"
-  in
+  let stats () = Server.stats_json srv in
   Fun.protect
     ~finally:(fun () ->
       Atomic.set stop true;
@@ -1096,9 +1123,13 @@ let test_server_metrics () =
         (Json.to_string (Protocol.reply_to_json r))
     | Error m -> Alcotest.fail m
   in
-  (* The in-process handle serves the same surface. *)
-  (match Server.handle srv Protocol.Metrics with
-  | Protocol.Metrics_reply _ -> ()
+  (* The in-process exposition is the same surface. *)
+  (match
+     Hashtbl.find_opt
+       (fst (parse_exposition (Server.metrics_text srv)))
+       "pdw_requests_submitted_total"
+   with
+  | Some 3.0 -> ()
   | _ -> Alcotest.fail "in-process metrics");
   let samples, types = parse_exposition text in
   let get series =
@@ -1523,26 +1554,13 @@ let test_server_store_restart () =
   Alcotest.(check bool) "restart's first hit is the store tier" true
     (tier = Protocol.Store);
   Alcotest.(check string) "restart byte-identical" expected outcome;
-  match Server.handle srv Protocol.Stats with
-  | Protocol.Stats_reply j ->
-    let jint path' =
-      let v =
-        List.fold_left
-          (fun acc k -> Option.bind acc (Json.member k))
-          (Some j) path'
-      in
-      match Option.bind v Json.to_int with
-      | Some i -> i
-      | None -> Alcotest.failf "stats missing %s" (String.concat "." path')
-    in
-    Alcotest.(check int) "the store hit was promoted into memory" 1
-      (jint [ "cache"; "promotions" ]);
-    Alcotest.(check int) "the store tier recorded the hit" 1
-      (jint [ "cache"; "store"; "hits" ]);
-    (* no planner job ran: the outcome came off disk *)
-    Alcotest.(check int) "nothing reached the workers" 0
-      (jint [ "requests"; "completed" ])
-  | _ -> Alcotest.fail "expected a stats reply"
+  Alcotest.(check int) "the store hit was promoted into memory" 1
+    (jint_stats srv [ "cache"; "promotions" ]);
+  Alcotest.(check int) "the store tier recorded the hit" 1
+    (jint_stats srv [ "cache"; "store"; "hits" ]);
+  (* no planner job ran: the outcome came off disk *)
+  Alcotest.(check int) "nothing reached the workers" 0
+    (jint_stats srv [ "requests"; "completed" ])
 
 (* --- the consistent-hash ring --- *)
 
@@ -2048,6 +2066,8 @@ let () =
             test_server_loadgen;
           Alcotest.test_case "pipelined batch, ordered replies" `Quick
             test_server_pipelined;
+          Alcotest.test_case "pipelined cold submits plan side by side" `Quick
+            test_server_pipelined_cold;
           Alcotest.test_case "huge pipelined batch, chunked" `Slow
             test_server_pipelined_huge_batch;
           Alcotest.test_case "loadgen no-cache planner workout" `Slow
