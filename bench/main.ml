@@ -14,15 +14,14 @@
      --trace FILE   write a Chrome-trace JSON (chrome://tracing or
                     ui.perfetto.dev) of the run's spans and counters
      --stats        print the span summary tree and counter table
-     --domains N    run the harness pool and the router's parallel
-                    port-pair flush on N domains (default: sized from
-                    the machine)
+     --domains N    fan the harness out over N domains (default: sized
+                    from the machine); each domain plans whole assays
+                    with its own search arena and memos
 
    The trace flags turn instrumentation on; without them every probe is
    a no-op and the printed tables are byte-identical to an
    uninstrumented build.  [--domains] never changes any table either:
-   the flush reduction is deterministic (ties go to the earliest port
-   pair at any domain count). *)
+   every plan is computed on one domain, whichever it is. *)
 
 module Benchmarks = Pdw_assay.Benchmarks
 module Layout_builder = Pdw_biochip.Layout_builder
@@ -35,13 +34,12 @@ module Metrics = Pdw_wash.Metrics
 module Report = Pdw_wash.Report
 
 module Domain_pool = Pdw_pool.Domain_pool
-module Router = Pdw_synth.Router
 module Trace = Pdw_obs.Trace
 module Counters = Pdw_obs.Counters
 module Trace_export = Pdw_obs.Trace_export
 
-(* [--domains N]: overrides both the harness pool size and the router's
-   flush-pool size; [None] leaves the machine-sized defaults. *)
+(* [--domains N]: overrides the harness pool size; [None] leaves the
+   machine-sized default. *)
 let domains_override : int option ref = ref None
 
 let table2_benchmarks () = Benchmarks.all ()
@@ -361,12 +359,6 @@ let exact_ilp_config ~warm_start =
       { Pdw_lp.Ilp.default_config with time_limit = 20.0; warm_start };
   }
 
-(* Machine-readable solver timings (BENCH_solver.json): wall-clock for
-   the PDW and DAWO optimizers on every Table II benchmark, per-stage
-   wall time and solver counters from the observability layer, plus the
-   exact-ILP wash-path run on the motivating chip with the warm-started
-   dual simplex on and off.  Future PRs diff this file to track the
-   perf trajectory. *)
 (* Provenance stamped into BENCH_solver.json: which commit produced the
    numbers and when.  The [compare] gate ignores these fields. *)
 let git_commit () =
@@ -389,13 +381,30 @@ let write_json path json =
       output_string oc (Pdw_obs.Json.to_string json);
       output_string oc "\n")
 
+(* Every wall in BENCH_solver.json is the median of this many rounds,
+   stored with the rounds' min and max: a single run of a 1-40 ms
+   planner call wobbles by more than [compare]'s default tolerance. *)
+let perf_rounds = 5
+
+(* Machine-readable solver timings (BENCH_solver.json): wall-clock for
+   the PDW and DAWO optimizers on every Table II benchmark and storage
+   assay, and for the exact-ILP wash-path run on the motivating chip
+   with the warm-started dual simplex on and off; per-stage wall time,
+   allocation and solver counters from the observability layer.  Future
+   PRs diff this file to track the perf trajectory. *)
 let run_perf () =
   let module J = Pdw_obs.Json in
   let now () = Unix.gettimeofday () in
-  let timed f =
+  (* Each timed call adds its wall to [samples] under its label; every
+     round times the same calls in the same order. *)
+  let samples = Hashtbl.create 64 in
+  let timed label f =
     let t0 = now () in
     let r = f () in
-    (r, (now () -. t0) *. 1000.0)
+    let ms = (now () -. t0) *. 1000.0 in
+    Hashtbl.replace samples label
+      (ms :: Option.value ~default:[] (Hashtbl.find_opt samples label));
+    r
   in
   (* Stage timings and counters come from the observability layer.
      Snapshot the pre-existing state so a combined "--trace" run keeps
@@ -411,40 +420,20 @@ let run_perf () =
     Domain_pool.with_pool ?size:!domains_override (fun pool ->
         ( Domain_pool.size pool,
           Domain_pool.map pool
-            (fun (name, b) -> (name, b, Synthesis.synthesize b))
+            (fun (name, b) -> (name, Synthesis.synthesize b))
             (table2_benchmarks ()) ))
   in
-  let t_opt0 = now () in
-  let per_bench =
-    List.map
-      (fun (name, _, s) ->
-        let pdw, pdw_ms = timed (fun () -> Pdw.optimize s) in
-        let dawo, dawo_ms = timed (fun () -> Dawo.optimize s) in
-        (name, (pdw, pdw_ms), (dawo, dawo_ms)))
-      synthesized
-  in
-  let optimize_wall_ms = (now () -. t_opt0) *. 1000.0 in
   let exact_s =
     let layout = Layout_builder.fig2_layout () in
     Synthesis.synthesize ~layout (Benchmarks.motivating ())
   in
-  let warm, warm_ms =
-    timed (fun () ->
-        Pdw.optimize ~config:(exact_ilp_config ~warm_start:true) exact_s)
-  in
-  let cold, cold_ms =
-    timed (fun () ->
-        Pdw.optimize ~config:(exact_ilp_config ~warm_start:false) exact_s)
-  in
   (* The storage-pressure family, timed like the Table II rows.  Holds
      are counted on the baseline synthesis (pre-wash) schedule: the
      structural pressure of the assay, independent of either planner. *)
-  let per_storage =
+  let storage =
     List.map
       (fun (name, (b : Benchmarks.t)) ->
         let s = Synthesis.synthesize b in
-        let pdw, pdw_ms = timed (fun () -> Pdw.optimize s) in
-        let dawo, dawo_ms = timed (fun () -> Dawo.optimize s) in
         let holds = Schedule.holds s.Synthesis.schedule in
         let t_hold =
           List.fold_left
@@ -452,9 +441,38 @@ let run_perf () =
               acc + (h.Schedule.hold_until - h.Schedule.hold_start))
             0 holds
         in
-        (name, List.length holds, t_hold, (pdw, pdw_ms), (dawo, dawo_ms)))
+        (name, s, List.length holds, t_hold))
       (Benchmarks.storage ())
   in
+  let both label s =
+    let pdw = timed (label ^ "/pdw") (fun () -> Pdw.optimize s) in
+    let dawo = timed (label ^ "/dawo") (fun () -> Dawo.optimize s) in
+    (pdw, dawo)
+  in
+  let round () =
+    let per_bench =
+      timed "optimize" (fun () ->
+          List.map (fun (name, s) -> (name, both name s)) synthesized)
+    in
+    let warm =
+      timed "exact/warm" (fun () ->
+          Pdw.optimize ~config:(exact_ilp_config ~warm_start:true) exact_s)
+    in
+    let cold =
+      timed "exact/cold" (fun () ->
+          Pdw.optimize ~config:(exact_ilp_config ~warm_start:false) exact_s)
+    in
+    let per_storage =
+      List.map
+        (fun (name, s, holds, t_hold) ->
+          (name, holds, t_hold, both ("storage/" ^ name) s))
+        storage
+    in
+    (per_bench, (warm, cold), per_storage)
+  in
+  (* Stages, allocations and counters cover the first round only: one
+     run of every planner call, whatever [perf_rounds] is. *)
+  let per_bench, (warm, cold), per_storage = round () in
   let stage_ms =
     List.map
       (fun (name, ms) -> (name, J.Float ms))
@@ -471,48 +489,66 @@ let run_perf () =
       (fun (name, _, v) -> (name, J.Int v))
       (Counters.delta ~since:counters_before)
   in
-  let planner_fields ms (o : Wash_plan.outcome) =
+  for _ = 2 to perf_rounds do
+    ignore (round ())
+  done;
+  (* The median, min and max of one label's rounds. *)
+  let wall label =
+    let xs = Array.of_list (Hashtbl.find samples label) in
+    Array.sort Float.compare xs;
+    (xs.(Array.length xs / 2), xs.(0), xs.(Array.length xs - 1))
+  in
+  let planner_fields label (o : Wash_plan.outcome) =
     let m = o.Wash_plan.metrics in
+    let median, lo, hi = wall label in
     [
-      ("wall_ms", J.Float ms);
+      ("wall_ms", J.Float median);
+      ("wall_min_ms", J.Float lo);
+      ("wall_max_ms", J.Float hi);
       ("n_wash", J.Int m.Metrics.n_wash);
       ("l_wash_mm", J.Float m.Metrics.l_wash_mm);
       ("t_assay_s", J.Int m.Metrics.t_assay);
     ]
   in
+  let optimize_ms, optimize_lo, optimize_hi = wall "optimize" in
   let json =
     J.Obj
       [
-        ("schema", J.Str "pathdriver-wash/bench-solver/v4");
+        ("schema", J.Str "pathdriver-wash/bench-solver/v5");
         ("mode", J.Str "perf");
         ("git_commit", J.Str (git_commit ()));
         ("generated_at", J.Str (iso8601_now ()));
         ("domains", J.Int pool_domains);
+        ("host_cores", J.Int (Domain.recommended_domain_count ()));
+        ("rounds", J.Int perf_rounds);
         ( "benchmarks",
           J.Arr
             (List.map
-               (fun (name, (pdw, pdw_ms), (dawo, dawo_ms)) ->
+               (fun (name, (pdw, dawo)) ->
                  J.Obj
                    [
                      ("name", J.Str name);
-                     ("pdw", J.Obj (planner_fields pdw_ms pdw));
-                     ("dawo", J.Obj (planner_fields dawo_ms dawo));
+                     ("pdw", J.Obj (planner_fields (name ^ "/pdw") pdw));
+                     ("dawo", J.Obj (planner_fields (name ^ "/dawo") dawo));
                    ])
                per_bench) );
         ( "storage",
           J.Arr
             (List.map
-               (fun (name, holds, t_hold, (pdw, pdw_ms), (dawo, dawo_ms)) ->
+               (fun (name, holds, t_hold, (pdw, dawo)) ->
+                 let label m = "storage/" ^ name ^ "/" ^ m in
                  J.Obj
                    [
                      ("name", J.Str name);
                      ("holds", J.Int holds);
                      ("t_hold_s", J.Int t_hold);
-                     ("pdw", J.Obj (planner_fields pdw_ms pdw));
-                     ("dawo", J.Obj (planner_fields dawo_ms dawo));
+                     ("pdw", J.Obj (planner_fields (label "pdw") pdw));
+                     ("dawo", J.Obj (planner_fields (label "dawo") dawo));
                    ])
                per_storage) );
-        ("optimize_wall_ms", J.Float optimize_wall_ms);
+        ("optimize_wall_ms", J.Float optimize_ms);
+        ("optimize_wall_min_ms", J.Float optimize_lo);
+        ("optimize_wall_max_ms", J.Float optimize_hi);
         ("stage_ms", J.Obj stage_ms);
         ("stage_alloc_words", J.Obj stage_alloc_words);
         ("counters", J.Obj counters_json);
@@ -520,17 +556,18 @@ let run_perf () =
           J.Obj
             [
               ("name", J.Str "Motivating");
-              ("warm_start", J.Obj (planner_fields warm_ms warm));
-              ("cold_start", J.Obj (planner_fields cold_ms cold));
+              ("warm_start", J.Obj (planner_fields "exact/warm" warm));
+              ("cold_start", J.Obj (planner_fields "exact/cold" cold));
             ] );
       ]
   in
   let path = "BENCH_solver.json" in
   write_json path json;
+  let warm_ms, _, _ = wall "exact/warm" and cold_ms, _, _ = wall "exact/cold" in
   Format.printf
-    "perf: wrote %s (optimize wall %.1f ms, exact ILP warm %.1f ms / cold \
-     %.1f ms)@."
-    path optimize_wall_ms warm_ms cold_ms
+    "perf: wrote %s (median of %d rounds: optimize wall %.1f ms, exact ILP \
+     warm %.1f ms / cold %.1f ms)@."
+    path perf_rounds optimize_ms warm_ms cold_ms
 
 (* Storage-pressure assays: the park/fetch workload family, PDW vs
    DAWO, with the hold pressure each assay puts on the channel network.
@@ -906,12 +943,14 @@ let run_serve () =
    Solution metrics — n_wash, l_wash_mm, t_assay_s — must be identical:
    any drift means planner behaviour changed, and the gate hard-fails.
    Wall times wobble with machine and load, so they fail only beyond
-   [tolerance], the maximum allowed new/baseline ratio.  Provenance
-   fields (git_commit, generated_at, domains) are ignored, as is any
-   field this gate does not know about — so the schema may grow new
-   sections without invalidating old baselines.  Schemas only need to
-   agree on the family (the part before the trailing version segment);
-   a version difference is reported but is not a failure. *)
+   [tolerance], the maximum allowed new/baseline ratio; since schema v5
+   each [wall_ms] is the median of [perf_rounds] runs, and the gate
+   judges those medians.  Provenance fields (git_commit, generated_at,
+   domains, host_cores, rounds) are ignored, as is any field this gate
+   does not know about — so the schema may grow new sections without
+   invalidating old baselines.  Schemas only need to agree on the
+   family (the part before the trailing version segment); a version
+   difference is reported but is not a failure. *)
 let run_compare ~tolerance baseline_path new_path =
   let module J = Pdw_obs.Json in
   let load path =
@@ -973,7 +1012,11 @@ let run_compare ~tolerance baseline_path new_path =
         if x > 0.0 && y > tolerance *. x then
           fail "%s wall_ms: %.1f -> %.1f (over %.2fx tolerance)" label x y
             tolerance
-        else Printf.printf "  ok %-28s wall %8.1f -> %8.1f ms\n" label x y
+        else
+          Printf.printf "  ok %-28s wall %8.1f -> %8.1f ms%s\n" label x y
+            (match (num "wall_min_ms" n, num "wall_max_ms" n) with
+            | Some lo, Some hi -> Printf.sprintf " (%.1f-%.1f)" lo hi
+            | _ -> "")
       | _ -> fail "%s wall_ms: missing" label
     in
     let base_benches = bench_list base in
@@ -1152,11 +1195,7 @@ let () =
   let args, trace_file, stats, domains =
     parse_obs_flags (List.tl (Array.to_list Sys.argv))
   in
-  (match domains with
-  | Some n ->
-    domains_override := Some n;
-    Router.set_flush_domains n
-  | None -> ());
+  domains_override := domains;
   let instrumented = trace_file <> None || stats in
   if instrumented then begin
     Trace.set_enabled true;

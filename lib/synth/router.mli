@@ -4,10 +4,10 @@
     (fluid never flows through a port).  BFS guarantees shortest paths,
     which the tests rely on.
 
-    The searches run on a reusable flat-array arena ({!Search_kernel});
-    {!Reference} keeps the original table-and-set implementations as the
-    oracle the equivalence tests compare against.  Both produce
-    identical paths. *)
+    The searches run on the calling domain's reusable flat-array arena
+    ({!Search_kernel}); the test suite keeps the original table-and-set
+    implementations as the oracle the equivalence tests compare
+    against. *)
 
 (** [shortest layout ~src ~dst ()] is a shortest path from [src] to [dst],
     or [None] when unreachable.
@@ -51,11 +51,23 @@ val covering :
   unit ->
   Pdw_geometry.Gpath.t option
 
-(** [flush layout ~targets ()] is the shortest covering path over all
+(** [flush layout ~targets ()] is the cheapest {!covering} path over all
     (flow port, waste port) pairs: the [flow port -> contaminated spots ->
     waste port] structure every wash/flush path must have (Eq. (12)).
-    Returns the path with the chosen port ids, or [None] when no pair can
-    cover the targets. *)
+    Equal costs go to the earliest pair (flow ports outer, waste ports
+    inner).  Returns the path with the chosen port ids, or [None] when no
+    pair can cover the targets.
+
+    It runs on the calling domain.  Each flow port runs one greedy chain
+    for all the waste ports that are not targets, then one settle to
+    all of them (a waste port that is a target gets a chain of its
+    own); flow ports go in order of their best exact pair bound
+    ({!Pdw_biochip.Layout.port_distances}), and a chain is cut as soon
+    as it cannot beat the best pair so far.  The counter
+    [synth.router.covering_searches] counts the pairs whose search ran
+    to its end; [synth.router.pairs_lb_pruned] counts the pairs a bound
+    cut, before or inside the chain.  Each flush adds up to exactly its
+    number of pairs across the two. *)
 val flush :
   Pdw_biochip.Layout.t ->
   ?avoid:Pdw_geometry.Coord.Set.t ->
@@ -69,42 +81,3 @@ val flush :
     expanded through. *)
 val reachable :
   Pdw_biochip.Layout.t -> src:Pdw_geometry.Coord.t -> Pdw_geometry.Coord.Set.t
-
-(** Number of domains (including the caller) used to evaluate a flush's
-    surviving port pairs in parallel.  Defaults to
-    [min 4 (Domain.recommended_domain_count ())]; [1] disables the
-    worker pool.  The flush result is deterministic regardless of this
-    setting — equal-cost ties always go to the earliest pair. *)
-val set_flush_domains : int -> unit
-
-(** The original (pre-{!Search_kernel}) search implementations, kept as
-    the oracle for the kernel equivalence tests.  Semantics and results
-    are identical to {!shortest}, {!cheapest} and {!covering}. *)
-module Reference : sig
-  val shortest :
-    Pdw_biochip.Layout.t ->
-    ?avoid:Pdw_geometry.Coord.Set.t ->
-    src:Pdw_geometry.Coord.t ->
-    dst:Pdw_geometry.Coord.t ->
-    unit ->
-    Pdw_geometry.Gpath.t option
-
-  val cheapest :
-    Pdw_biochip.Layout.t ->
-    ?avoid:Pdw_geometry.Coord.Set.t ->
-    cost:(Pdw_geometry.Coord.t -> int) ->
-    src:Pdw_geometry.Coord.t ->
-    dst:Pdw_geometry.Coord.t ->
-    unit ->
-    Pdw_geometry.Gpath.t option
-
-  val covering :
-    Pdw_biochip.Layout.t ->
-    ?avoid:Pdw_geometry.Coord.Set.t ->
-    ?cost:(Pdw_geometry.Coord.t -> int) ->
-    src:Pdw_geometry.Coord.t ->
-    dst:Pdw_geometry.Coord.t ->
-    targets:Pdw_geometry.Coord.Set.t ->
-    unit ->
-    Pdw_geometry.Gpath.t option
-end

@@ -15,9 +15,9 @@ module Routing = Pdw_biochip.Layout.Routing
    is a monomorphic binary min-heap of packed [dist * ncells + colmajor]
    keys.
 
-   Path identity with the legacy [Router.Reference] implementations is a
-   hard requirement (the planner's metrics must stay byte-identical), so
-   three orders are replicated exactly:
+   Path identity with the legacy table-and-set searches (kept as the
+   test oracle) is a hard requirement (the planner's metrics must stay
+   byte-identical), so three orders are replicated exactly:
    - neighbour enumeration follows [Direction.all] (north, south, west,
      east), the order baked into [Layout.Routing.nbr];
    - the Dijkstra pop order is (dist, Coord.compare) — [Coord.compare]
@@ -37,19 +37,23 @@ type t = {
   visit : int array;  (* visit.(i) = epoch -> dist/prev valid *)
   avoid_mark : int array;  (* caller's avoid set, valid per avoid_epoch *)
   used_mark : int array;  (* covering chain's used cells *)
+  goal_mark : int array;  (* the running search's goals, per goal_epoch *)
   costs : int array;  (* 1 + cost of entering each cell *)
   queue : int array;  (* BFS ring buffer; scratch stack elsewhere *)
   mutable heap : int array;
   mutable heap_size : int;
+  mutable origin : int;  (* the running Dijkstra's source *)
   buf : int array;  (* result path cells, in order *)
   mutable buf_len : int;
+  mutable chain_len : int;  (* cells of the last chain, a prefix of buf *)
+  mutable here : int;  (* where the last chain ended *)
   targets_idx : int array;  (* prepared targets, Coord.compare order *)
   mutable targets_len : int;
   remaining : int array;  (* covering work list *)
   mutable epoch : int;
   mutable avoid_epoch : int;
   mutable used_epoch : int;
-  mutable token : int;  (* see [prepare] *)
+  mutable goal_epoch : int;
 }
 
 let create layout =
@@ -63,19 +67,23 @@ let create layout =
     visit = Array.make n 0;
     avoid_mark = Array.make n 0;
     used_mark = Array.make n 0;
+    goal_mark = Array.make n 0;
     costs = Array.make n 1;
     queue = Array.make n 0;
     heap = Array.make ((4 * n) + 8) 0;
     heap_size = 0;
+    origin = 0;
     buf = Array.make n 0;
     buf_len = 0;
+    chain_len = 0;
+    here = 0;
     targets_idx = Array.make n 0;
     targets_len = 0;
     remaining = Array.make n 0;
     epoch = 0;
     avoid_epoch = 0;
     used_epoch = 0;
-    token = 0;
+    goal_epoch = 0;
   }
 
 let layout t = t.layout
@@ -114,21 +122,17 @@ let manhattan_idx t a b =
 (* --- search state preparation ------------------------------------- *)
 
 let set_costs t cost =
-  t.token <- 0;
   for i = 0 to t.rt.Routing.ncells - 1 do
     let step = 1 + cost (coord_of_idx t i) in
     if step < 1 then invalid_arg "Router.cheapest: negative cell cost";
     t.costs.(i) <- step
   done
 
-let set_unit_costs t =
-  t.token <- 0;
-  Array.fill t.costs 0 (Array.length t.costs) 1
+let set_unit_costs t = Array.fill t.costs 0 (Array.length t.costs) 1
 
 let in_bounds t c = Grid.in_bounds (Layout.grid t.layout) c
 
 let set_avoid t avoid =
-  t.token <- 0;
   t.avoid_epoch <- t.avoid_epoch + 1;
   (* Out-of-bounds avoid cells cannot affect a search; skip them. *)
   Coord.Set.iter
@@ -137,7 +141,6 @@ let set_avoid t avoid =
     avoid
 
 let set_targets t targets =
-  t.token <- 0;
   t.targets_len <- 0;
   (* [Coord.Set.elements] is ascending [Coord.compare] order — the order
      the legacy greedy target scan folds in. *)
@@ -147,13 +150,10 @@ let set_targets t targets =
       t.targets_len <- t.targets_len + 1)
     (Coord.Set.elements targets)
 
-let prepare t ~token ?(avoid = Coord.Set.empty) ~cost ~targets () =
-  if t.token <> token || token = 0 then begin
-    set_avoid t avoid;
-    (match cost with None -> set_unit_costs t | Some f -> set_costs t f);
-    set_targets t targets;
-    t.token <- token
-  end
+let prepare t ?(avoid = Coord.Set.empty) ~cost ~targets () =
+  set_avoid t avoid;
+  (match cost with None -> set_unit_costs t | Some f -> set_costs t f);
+  set_targets t targets
 
 (* --- heap of packed (dist, colmajor) keys ------------------------- *)
 
@@ -208,13 +208,15 @@ let heap_pop t =
 
 (* Both searches honour the avoid discipline of the legacy router: a
    cell is enterable when routable and neither avoided nor used, except
-   the destination, which is always exempt; a cell is expandable when it
-   is the source or through-routable. *)
+   a goal, which is always exempt; a cell is expandable when it is the
+   source or through-routable. *)
 
-let enterable t next dst =
+let is_goal t i = t.goal_mark.(i) = t.goal_epoch
+
+let enterable t next =
   routable t next
   && ((t.avoid_mark.(next) <> t.avoid_epoch && t.used_mark.(next) <> t.used_epoch)
-     || next = dst)
+     || is_goal t next)
 
 (* BFS; [true] when [dst] was reached (prev chain valid). *)
 let bfs t ~src ~dst =
@@ -222,6 +224,8 @@ let bfs t ~src ~dst =
   else if src = dst then true
   else begin
     t.epoch <- t.epoch + 1;
+    t.goal_epoch <- t.goal_epoch + 1;
+    t.goal_mark.(dst) <- t.goal_epoch;
     let e = t.epoch in
     t.visit.(src) <- e;
     t.prev.(src) <- src;
@@ -240,7 +244,7 @@ let bfs t ~src ~dst =
             (not !found)
             && next >= 0
             && t.visit.(next) <> e
-            && enterable t next dst
+            && enterable t next
           then begin
             t.visit.(next) <- e;
             t.prev.(next) <- here;
@@ -256,42 +260,64 @@ let bfs t ~src ~dst =
     !found
   end
 
-(* Dijkstra over [t.costs]; [true] when [dst] was reached.  On success
-   [t.dist.(dst)] is the total cost of entering every cell after [src]. *)
-let dijkstra t ~src ~dst =
-  if not (routable t src && routable t dst) then false
-  else if src = dst then begin
-    t.epoch <- t.epoch + 1;
+(* The one Dijkstra loop, over [t.costs], resumable goal by goal.
+   [dijkstra_start] marks no goals: the caller marks them first (a
+   fresh [goal_epoch], then [goal_mark]).  Goals are exempt from the
+   avoid and used marks and never expanded, so a goal's distance and
+   predecessor are exactly those of a search for that goal alone: the
+   other goals only add heap keys that are never expanded.
+   [dijkstra_next] pops until the next goal settles and returns it;
+   [exhausted] when the frontier empties first, [capped] when the
+   cheapest unsettled cell lies beyond [cap].  A settled goal's
+   [t.dist] is final: every later key is larger. *)
+
+let exhausted = -1
+let capped = -2
+
+let dijkstra_start t ~src =
+  t.epoch <- t.epoch + 1;
+  t.heap_size <- 0;
+  t.origin <- src;
+  if routable t src then begin
     t.visit.(src) <- t.epoch;
     t.prev.(src) <- src;
     t.dist.(src) <- 0;
-    true
+    heap_push t (colmajor t src)
   end
-  else begin
-    t.epoch <- t.epoch + 1;
-    let e = t.epoch in
-    let ncells = t.rt.Routing.ncells in
-    t.visit.(src) <- e;
-    t.prev.(src) <- src;
-    t.dist.(src) <- 0;
-    t.heap_size <- 0;
-    heap_push t (colmajor t src);
-    let finished = ref false in
-    while (not !finished) && t.heap_size > 0 do
-      let key = heap_pop t in
+
+let dijkstra_next t ~cap =
+  let e = t.epoch in
+  let ncells = t.rt.Routing.ncells in
+  let result = ref exhausted in
+  let running = ref true in
+  while !running && t.heap_size > 0 do
+    (* The minimum key bounds every unsettled cell, stale keys
+       included. *)
+    let key = t.heap.(0) in
+    let d = key / ncells in
+    if d > cap then begin
+      result := capped;
+      running := false
+    end
+    else begin
+      ignore (heap_pop t);
       let cm = key mod ncells in
       let here =
         ((cm mod t.rt.Routing.height) * t.rt.Routing.width)
         + (cm / t.rt.Routing.height)
       in
-      let d = key / ncells in
-      if here = dst then finished := true
-      else if t.dist.(here) = d then
-        if here = src || through t here then begin
+      (* A goal's first key is its least, so it settles exactly once;
+         later keys for any cell are stale. *)
+      if t.dist.(here) = d then
+        if is_goal t here then begin
+          result := here;
+          running := false
+        end
+        else if here = t.origin || through t here then begin
           let base = 4 * here in
           for k = base to base + 3 do
             let next = t.rt.Routing.nbr.(k) in
-            if next >= 0 && enterable t next dst then begin
+            if next >= 0 && enterable t next then begin
               let nd = d + t.costs.(next) in
               if t.visit.(next) <> e || nd < t.dist.(next) then begin
                 t.visit.(next) <- e;
@@ -302,9 +328,9 @@ let dijkstra t ~src ~dst =
             end
           done
         end
-    done;
-    !finished
-  end
+    end
+  done;
+  !result
 
 (* --- path extraction ---------------------------------------------- *)
 
@@ -355,42 +381,44 @@ let shortest t ?(avoid = Coord.Set.empty) ~src ~dst () =
     end
   end
 
-let cheapest_core t ~src ~dst =
-  if not (dijkstra t ~src ~dst) then None
-  else begin
-    t.buf_len <- 1;
-    t.buf.(0) <- src;
-    if src <> dst then append_segment t ~src ~dst;
-    Some (path_of_buf t)
-  end
-
-let cheapest t ?(avoid = Coord.Set.empty) ~cost ~src ~dst () =
-  if not (in_bounds t src && in_bounds t dst) then None
-  else begin
-    set_avoid t avoid;
-    set_costs t cost;
-    t.used_epoch <- t.used_epoch + 1;
-    cheapest_core t ~src:(idx_of_coord t src) ~dst:(idx_of_coord t dst)
-  end
-
 (* --- covering ------------------------------------------------------ *)
 
-(* Greedy nearest-target chaining, exactly as the legacy
-   [Router.covering]: the next target is the remaining one nearest by
-   manhattan distance (ties to the smallest in [Coord.compare] order),
-   each segment is a cheapest path that must not revisit cells used by
-   earlier segments, and targets swept up by a segment en passant are
-   dropped from the work list.  On success the full path sits in [buf]
-   and the return value is its total cost (Σ 1 + cost over every cell,
-   source included). *)
-let covering_run t ~src ~dst =
+type outcome = Settled | Unreachable | Over_budget
+
+let nearest_goal t goals c =
+  let best = ref max_int in
+  for g = 0 to Array.length goals - 1 do
+    best := min !best (manhattan_idx t c goals.(g))
+  done;
+  !best
+
+(* The greedy chain, exactly as the legacy [Router.covering]: the
+   next target is the remaining one nearest by manhattan distance (ties
+   to the smallest in [Coord.compare] order), each leg is a cheapest
+   path that must not revisit cells used by earlier legs, and targets a
+   leg sweeps up en passant are dropped from the work list.  Nothing
+   here depends on the goals except the budget bounds.
+
+   Every cell costs at least 1, so a path from [a] to [b] costs at
+   least [manhattan a b].  Once at a leg's target, the path still has
+   to reach some goal: the leg is capped at [budget] minus the cost so
+   far minus the manhattan distance from its target to the nearest
+   goal.  Targets that remain after the leg are NOT charged to it — the
+   leg may sweep them up on its way.  After a leg, each remaining
+   target [r] must still be visited before a goal, so the chain is
+   dropped when [so far + max_r (manhattan here r + manhattan r goal)]
+   exceeds the budget.
+
+   Returns the chain's cost (source included, so at least 1), or
+   [exhausted] when a leg has no path, or [capped] when the budget cut
+   it.  The chain's cells are left in [buf], its end in [t.here]. *)
+let chain t ~src ~skip ~goals ~budget =
   t.used_epoch <- t.used_epoch + 1;
-  (* Work list: prepared targets minus the endpoints, in order. *)
   let remaining = t.remaining in
   let rem_len = ref 0 in
   for i = 0 to t.targets_len - 1 do
     let target = t.targets_idx.(i) in
-    if target <> src && target <> dst then begin
+    if target <> src && target <> skip then begin
       remaining.(!rem_len) <- target;
       incr rem_len
     end
@@ -398,10 +426,11 @@ let covering_run t ~src ~dst =
   t.buf_len <- 1;
   t.buf.(0) <- src;
   t.used_mark.(src) <- t.used_epoch;
+  let bounded = budget < max_int in
   let here = ref src in
-  let total = ref 0 in
-  let dead = ref false in
-  while (not !dead) && !rem_len > 0 do
+  let total = ref t.costs.(src) in
+  let status = ref 0 in
+  while !status = 0 && !rem_len > 0 do
     (* Nearest remaining target; the scan order is ascending
        [Coord.compare], and only a strictly smaller distance replaces
        the incumbent, matching the legacy fold. *)
@@ -415,33 +444,73 @@ let covering_run t ~src ~dst =
       end
     done;
     let target = !best in
-    if dijkstra t ~src:!here ~dst:target then begin
+    let cap =
+      if bounded then budget - !total - nearest_goal t goals target
+      else max_int
+    in
+    t.goal_epoch <- t.goal_epoch + 1;
+    t.goal_mark.(target) <- t.goal_epoch;
+    dijkstra_start t ~src:!here;
+    let reached = dijkstra_next t ~cap in
+    if reached <> target then status := reached
+    else begin
       append_segment t ~src:!here ~dst:target;
       total := !total + t.dist.(target);
       here := target;
-      (* Drop targets the segment swept up (they are now used). *)
+      (* Drop targets the leg swept up (they are now used), and bound
+         what the rest of the path must still cost. *)
+      let rest = ref 0 in
       let w = ref 0 in
       for i = 0 to !rem_len - 1 do
-        if t.used_mark.(remaining.(i)) <> t.used_epoch then begin
-          remaining.(!w) <- remaining.(i);
-          incr w
+        let r = remaining.(i) in
+        if t.used_mark.(r) <> t.used_epoch then begin
+          remaining.(!w) <- r;
+          incr w;
+          if bounded then
+            rest :=
+              max !rest (manhattan_idx t target r + nearest_goal t goals r)
         end
       done;
-      rem_len := !w
+      rem_len := !w;
+      if !total + !rest > budget then status := capped
     end
-    else dead := true
   done;
-  if !dead then None
-  else if not (dijkstra t ~src:!here ~dst) then None
+  t.here <- !here;
+  t.chain_len <- t.buf_len;
+  if !status = 0 then !total else !status
+
+let covering_run t ~src ~skip ~goals ~budget ~on_goal =
+  let so_far = chain t ~src ~skip ~goals ~budget in
+  if so_far = capped then Over_budget
+  else if so_far = exhausted then Unreachable
   else begin
-    if !here <> dst then begin
-      append_segment t ~src:!here ~dst;
-      total := !total + t.dist.(dst)
-    end;
-    Some (!total + t.costs.(src))
+    (* The final settle: one search from the chain's end to every
+       goal.  [on_goal] may only tighten the budget. *)
+    t.goal_epoch <- t.goal_epoch + 1;
+    Array.iter (fun g -> t.goal_mark.(g) <- t.goal_epoch) goals;
+    dijkstra_start t ~src:t.here;
+    let budget = ref budget in
+    let left = ref (Array.length goals) in
+    let last = ref 0 in
+    while !left > 0 && !last >= 0 do
+      let cap = if !budget = max_int then max_int else !budget - so_far in
+      last := dijkstra_next t ~cap;
+      if !last >= 0 then begin
+        decr left;
+        budget := on_goal !last (so_far + t.dist.(!last))
+      end
+    done;
+    if !left = 0 then Settled
+    else if !last = capped then Over_budget
+    else Unreachable
   end
 
-let covering t ?(avoid = Coord.Set.empty) ?cost ~src ~dst ~targets () =
+let path_to t goal =
+  t.buf_len <- t.chain_len;
+  append_segment t ~src:t.here ~dst:goal;
+  path_of_buf t
+
+let covering t ?avoid ?cost ~src ~dst ~targets () =
   (* An out-of-bounds target (other than the exempt endpoints) can never
      be visited, so the legacy covering inevitably fails on it. *)
   let oob_target =
@@ -451,11 +520,17 @@ let covering t ?(avoid = Coord.Set.empty) ?cost ~src ~dst ~targets () =
   in
   if oob_target || not (in_bounds t src && in_bounds t dst) then None
   else begin
-    set_avoid t avoid;
-    (match cost with None -> set_unit_costs t | Some f -> set_costs t f);
-    set_targets t targets;
+    prepare t ?avoid ~cost ~targets ();
     let src = idx_of_coord t src and dst = idx_of_coord t dst in
-    match covering_run t ~src ~dst with
-    | None -> None
-    | Some _ -> Some (path_of_buf t)
+    match
+      covering_run t ~src ~skip:dst ~goals:[| dst |] ~budget:max_int
+        ~on_goal:(fun _ _ -> max_int)
+    with
+    | Settled -> Some (path_to t dst)
+    | Unreachable | Over_budget -> None
   end
+
+(* A cheapest path is a covering path with nothing to cover: the chain
+   is its source alone, and the final settle is the one search. *)
+let cheapest t ?avoid ~cost ~src ~dst () =
+  covering t ?avoid ~cost ~src ~dst ~targets:Coord.Set.empty ()

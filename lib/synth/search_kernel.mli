@@ -11,12 +11,15 @@
     The searches replicate the legacy [Router] implementations cell for
     cell — same neighbour enumeration order, same frontier tie-breaks,
     same strict-improvement relaxation — so the paths (and therefore
-    every planner metric downstream) are identical.  [Router.Reference]
+    every planner metric downstream) are identical.  The test suite
     keeps the legacy code as the oracle for the equivalence tests.
 
+    There is one chaining loop and one Dijkstra loop: a single
+    destination is the one-goal case of {!covering_run}'s final settle,
+    and {!cheapest} is a covering search with no targets.
+
     Arenas are NOT thread-safe.  Use {!for_layout} to obtain the calling
-    domain's private arena; the router's parallel flush gives each
-    worker domain its own. *)
+    domain's private arena. *)
 
 type t
 
@@ -57,7 +60,8 @@ val cheapest :
   Pdw_geometry.Gpath.t option
 
 (** [covering t ~src ~dst ~targets ()] — greedy nearest-target covering
-    path, identical to [Router.covering]. *)
+    path, identical to [Router.covering]: {!covering_run} with the one
+    goal [dst]. *)
 val covering :
   t ->
   ?avoid:Pdw_geometry.Coord.Set.t ->
@@ -70,35 +74,61 @@ val covering :
 
 (** {2 Prepared mode}
 
-    The router's flush evaluates many (source, destination) port pairs
+    The router's flush evaluates every (flow port, waste port) pair
     against one fixed (avoid, cost, targets) configuration.  [prepare]
-    stamps that configuration into the arena once; repeated calls with
-    the same non-zero [token] are no-ops, so a worker domain touching
-    many pairs of the same flush pays for preparation once. *)
+    stamps that configuration into the arena once per flush. *)
 
 (** Stamp [avoid], the cost table ([None] = unit costs) and the target
-    set into the arena under [token].  A [token] of [0] always
-    re-prepares. *)
+    set into the arena. *)
 val prepare :
   t ->
-  token:int ->
   ?avoid:Pdw_geometry.Coord.Set.t ->
   cost:(Pdw_geometry.Coord.t -> int) option ->
   targets:Pdw_geometry.Coord.Set.t ->
   unit ->
   unit
 
-(** [covering_run t ~src ~dst] — the covering search over the prepared
-    configuration, on row-major cell indices.  Returns the total path
-    cost (sum of [1 + cost c] over every cell, source included) and
-    leaves the path cells in an internal buffer, or [None] when the
-    greedy chaining fails.  Only the winning pair needs the path
-    materialized — via {!path_of_buf} — so losing evaluations allocate
-    nothing. *)
-val covering_run : t -> src:int -> dst:int -> int option
+(** How a {!covering_run} ended: every goal settled; a leg or the final
+    settle ran out of cells first (the unsettled goals have no covering
+    path); or the budget cut it (no unsettled goal's path costs the
+    budget or less). *)
+type outcome = Settled | Unreachable | Over_budget
 
-(** Materialize the last successful search's path. *)
-val path_of_buf : t -> Pdw_geometry.Gpath.t
+(** [covering_run t ~src ~skip ~goals ~budget ~on_goal] — the covering
+    search over the prepared configuration, on row-major cell indices,
+    from [src] to each of [goals] at once.
+
+    A greedy chain runs from [src] through every prepared target except
+    [src] and [skip]; the chain does not depend on the goals.  One
+    Dijkstra from the chain's end then settles the goals in (cost, cell)
+    order and calls [on_goal g total] for each, where [total] is the
+    cost (sum of [1 + cost c] over every cell, source included) of the
+    path to [g]; it is the total a search for [g] alone returns, as long
+    as [g] is [skip] or not a target.  [on_goal] returns the new budget,
+    which may only shrink.
+
+    [budget] ([max_int] for none) is the largest total the caller still
+    wants.  Each leg is capped at the budget minus the cost so far minus
+    the manhattan distance from its target to the nearest goal; after
+    each leg the chain is dropped when the cost so far plus
+    [max_r (manhattan here r + manhattan r (nearest goal))] over the
+    remaining targets [r] exceeds it; the final settle stops at it.
+    Every cell costs at least 1, so a goal the budget leaves unsettled
+    would have cost more than the budget.
+
+    Losing goals allocate nothing; {!path_to} materializes one. *)
+val covering_run :
+  t ->
+  src:int ->
+  skip:int ->
+  goals:int array ->
+  budget:int ->
+  on_goal:(int -> int -> int) ->
+  outcome
+
+(** [path_to t g] — the path of the last {!covering_run} to the goal
+    [g], which must have settled. *)
+val path_to : t -> int -> Pdw_geometry.Gpath.t
 
 (** Row-major index of a coordinate in this arena's grid. *)
 val idx_of_coord : t -> Pdw_geometry.Coord.t -> int
